@@ -47,7 +47,11 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def emit_csv(header: Sequence[str], rows: Iterable[Sequence],
              target: str) -> None:
-    text = render_csv(header, rows)
+    write_text(target, render_csv(header, rows))
+
+
+def write_text(target: str, text: str) -> None:
+    """Write rendered CSV text as UTF-8, byte for byte; OSError -> IoError."""
     try:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -3,8 +3,14 @@
 Rational and real-kind quantities are plain ``fractions.Fraction`` values.
 Real-kind inputs given as decimal strings are parsed through ``decimal`` at a
 configurable precision (finite decimals are exact rationals, so nothing is
-lost downstream).  Complex quantities are pairs of Fractions with exact
-field arithmetic.
+lost downstream).  Complex quantities are ``ComplexFraction`` pairs of
+Fractions with exact field arithmetic.
+
+``ComplexFraction`` speaks the same number protocol as ``Fraction``: the
+arithmetic and comparison operators (reflected ones included, so mixed
+operands work), ``real``, ``imag``, ``conjugate()`` and ``complex()``.  The
+structures built on top therefore have no per-kind arithmetic: one
+expression such as ``t / s * v`` serves every kind.
 """
 
 from __future__ import annotations
@@ -44,12 +50,12 @@ class ComplexFraction:
         return hash((self.re, self.im))
 
     @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def real(self) -> Fraction:
+        return self.re
 
     @property
-    def is_real(self) -> bool:
-        return self.im == 0
+    def imag(self) -> Fraction:
+        return self.im
 
     def conjugate(self) -> "ComplexFraction":
         return ComplexFraction(self.re, -self.im)
@@ -109,42 +115,12 @@ def as_complex(x: Scalar) -> ComplexFraction:
     return ComplexFraction(Fraction(x))
 
 
-def scalar_is_zero(x: Scalar) -> bool:
+def as_exact(x) -> Scalar:
+    """``x`` as an exact scalar: ComplexFractions pass, the rest go through
+    ``Fraction`` (ints, floats, Decimals and "a/b" strings, all exactly)."""
     if isinstance(x, ComplexFraction):
-        return x.is_zero
-    return x == 0
-
-
-def scalar_is_real(x: Scalar) -> bool:
-    if isinstance(x, ComplexFraction):
-        return x.is_real
-    return True
-
-
-def scalar_conj(x: Scalar) -> Scalar:
-    if isinstance(x, ComplexFraction):
-        return x.conjugate()
-    return x
-
-
-def scalar_reciprocal(x: Scalar) -> Scalar:
-    if isinstance(x, ComplexFraction):
-        return x.reciprocal()
-    if x == 0:
-        raise DivisionByZero("reciprocal of zero")
-    return 1 / Fraction(x)
-
-
-def real_part(x: Scalar) -> Fraction:
-    if isinstance(x, ComplexFraction):
-        return x.re
+        return x
     return Fraction(x)
-
-
-def scalar_to_complex(x: Scalar) -> complex:
-    if isinstance(x, ComplexFraction):
-        return complex(x)
-    return complex(float(x), 0.0)
 
 
 def real_fraction(value: Union[str, float, int, Fraction, Decimal],

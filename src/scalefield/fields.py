@@ -11,13 +11,12 @@ connection factors between points, and connection-modified derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Number
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .errors import BoundaryPoint, OutOfBounds, ScenarioValidationError, ZeroLevel
+from .errors import BoundaryPoint, ScenarioValidationError, ZeroLevel
 from .manifold import Manifold
 
 
@@ -377,17 +376,23 @@ def structure_derivative(fieldref: ScalingField, x, mu: int) -> np.ndarray:
 def covariant_derivative(psi: FieldSample, fieldref: ScalingField, x,
                          mu: int) -> complex:
     """D_mu psi = d_mu psi + (Gamma_mu + i Delta_mu) psi at a grid node."""
+    return _central_covariant(
+        psi, fieldref, x, mu,
+        lambda pts: structure_derivative(fieldref, pts, mu))
+
+
+def _central_covariant(psi: FieldSample, fieldref: ScalingField, x, mu: int,
+                       coefficient: Callable[[np.ndarray], complex]) -> complex:
+    """d_mu psi + coefficient(x) psi at a grid node, d_mu by central difference."""
     m = fieldref.manifold
     if psi.manifold != m:
         raise ValueError("sample and field live on different manifolds")
     idx = m.node_index(x)
     if idx[mu] == 0 or idx[mu] == m.grid_shape[mu] - 1:
         raise BoundaryPoint(f"axis {mu} stencil leaves the grid at {idx}")
-    fwd = list(idx)
-    bwd = list(idx)
+    fwd, bwd = list(idx), list(idx)
     fwd[mu] += 1
     bwd[mu] -= 1
     h = m.spacing[mu]
     dpsi = (psi.values[tuple(fwd)] - psi.values[tuple(bwd)]) / (2.0 * h)
-    pts = m.as_points(x)
-    return dpsi + structure_derivative(fieldref, pts, mu) * psi.values[idx]
+    return dpsi + coefficient(m.as_points(x)) * psi.values[idx]

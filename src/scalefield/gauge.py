@@ -18,14 +18,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import BoundaryPoint, ZeroCoupling
+from .errors import ZeroCoupling
 from .fields import (
     AxisDerivativeField,
     CombinationField,
     FieldSample,
     FieldSpec,
     ScalingField,
-    structure_derivative,
+    _central_covariant,
 )
 
 
@@ -77,20 +77,9 @@ def gauge_covariant_derivative(psi: FieldSample, fieldref: ScalingField,
                                cfg: GaugeConfig, x, mu: int) -> complex:
     """D_mu psi at a grid node, with the sample derivative taken centrally."""
     _check_dim(cfg, fieldref)
-    m = fieldref.manifold
-    if psi.manifold != m:
-        raise ValueError("sample and field live on different manifolds")
-    idx = m.node_index(x)
-    if idx[mu] == 0 or idx[mu] == m.grid_shape[mu] - 1:
-        raise BoundaryPoint(f"axis {mu} stencil leaves the grid at {idx}")
-    fwd, bwd = list(idx), list(idx)
-    fwd[mu] += 1
-    bwd[mu] -= 1
-    h = m.spacing[mu]
-    dpsi = (psi.values[tuple(fwd)] - psi.values[tuple(bwd)]) / (2.0 * h)
-    pts = m.as_points(x)
-    coeff = gauge_connection(fieldref, cfg, pts)[mu]
-    return dpsi + coeff * psi.values[idx]
+    return _central_covariant(
+        psi, fieldref, x, mu,
+        lambda pts: gauge_connection(fieldref, cfg, pts)[mu])
 
 
 def apply_transform(fieldref: ScalingField, cfg: GaugeConfig,

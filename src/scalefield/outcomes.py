@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exact import scalar_to_complex
 from .fields import ScalingField
 from .structures import BaseNumber
 
@@ -72,8 +71,8 @@ def compare_outcomes(reference: Outcome, target: Outcome,
 
     log = fieldref.log_ratio(target.location, reference.location)
     ratio = complex(np.exp(log))
-    r_value = scalar_to_complex(reference.number.payload)
-    t_value = scalar_to_complex(target.number.payload)
+    r_value = complex(reference.number.payload)
+    t_value = complex(target.number.payload)
     transported = ratio * r_value
     mismatch = transported / t_value if t_value != 0 else None
     return ComparisonReport(

@@ -34,6 +34,14 @@ class Path:
     def velocity(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def piece_velocity(self, s: np.ndarray, a: float, b: float) -> np.ndarray:
+        """Velocity at nodes s of the smooth piece [a, b] between breakpoints.
+
+        At a piece's ends this is the one-sided tangent from inside the
+        piece; paths without corners just return velocity(s).
+        """
+        return self.velocity(s)
+
     def breakpoints(self) -> Tuple[float, ...]:
         return (0.0, 1.0)
 
@@ -98,6 +106,12 @@ class PolylinePath(Path):
         u = np.clip(s, 0.0, 1.0) * n
         idx = np.minimum(u.astype(int), n - 1)
         return (self.vertices[idx + 1] - self.vertices[idx]) * n
+
+    def piece_velocity(self, s: np.ndarray, a: float, b: float) -> np.ndarray:
+        # velocity(s) picks the next segment at a vertex; a piece's own
+        # tangent is the one at its midpoint.
+        s = np.asarray(s, dtype=float)
+        return self.velocity(np.full_like(s, 0.5 * (a + b)))
 
     def breakpoints(self) -> Tuple[float, ...]:
         n = self._segments
@@ -182,8 +196,14 @@ class PerturbedPath(Path):
         return q
 
     def velocity(self, s: np.ndarray) -> np.ndarray:
+        return self._add_bump_velocity(s, self.base.velocity(s))
+
+    def piece_velocity(self, s: np.ndarray, a: float, b: float) -> np.ndarray:
+        return self._add_bump_velocity(s, self.base.piece_velocity(s, a, b))
+
+    def _add_bump_velocity(self, s: np.ndarray, base_v: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        v = np.array(self.base.velocity(s), dtype=float, copy=True)
+        v = np.array(base_v, dtype=float, copy=True)
         k = np.arange(1, self.coefficients.shape[0] + 1)
         dbumps = (np.cos(np.pi * s[..., None] * k) * (np.pi * k)) \
             @ self.coefficients
@@ -226,7 +246,7 @@ def _integrate(q: Path, m: Manifold, steps: int,
     max_speed = 0.0
     for (a, b), n in zip(zip(breaks, breaks[1:]), _piece_steps(breaks, steps)):
         s, w = _simpson_nodes(a, b, n)
-        v = q.velocity(s)
+        v = q.piece_velocity(s, a, b)
         g = np.sqrt(np.abs(np.sum(eta * v * v, axis=-1)))
         max_speed = max(max_speed, float(np.max(np.abs(v))))
         if weight is not None:

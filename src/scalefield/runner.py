@@ -23,7 +23,7 @@ import numpy as np
 
 from .axioms import axiom_suite
 from .errors import ScaleFieldError, ScenarioParseError, ScenarioValidationError
-from .csvio import render_csv
+from .csvio import render_csv, write_text
 from .fields import eval_f
 from .gauge import invariance_residual
 from .geodesics import GeodesicState, integrate_geodesic
@@ -263,9 +263,8 @@ def run_scenario(path: str, out: Optional[str] = None,
         }
         try:
             header, rows, results = _HANDLERS[task.type](task, rt, task_seed)
-            with open(os.path.join(out_dir, csv_name), "w",
-                      encoding="utf-8", newline="") as fh:
-                fh.write(render_csv(header, rows))
+            write_text(os.path.join(out_dir, csv_name),
+                       render_csv(header, rows))
             ok = results.get("all_passed", True)
             entry["status"] = "ok" if ok else "failed"
             if not ok:

@@ -22,7 +22,7 @@ and flips direction when t and s have opposite signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -37,12 +37,9 @@ from .exact import (
     ComplexFraction,
     Scalar,
     as_complex,
+    as_exact,
+    parse_fraction,
     real_fraction,
-    real_part,
-    scalar_conj,
-    scalar_is_real,
-    scalar_is_zero,
-    scalar_reciprocal,
 )
 
 KINDS = ("natural", "rational", "real", "complex")
@@ -61,12 +58,12 @@ class ScalingFactor:
             object.__setattr__(self, "value", v)
         if not isinstance(v, (Fraction, ComplexFraction)):
             raise TypeError(f"scaling factor must be exact, got {type(v).__name__}")
-        if scalar_is_zero(v):
+        if v == 0:
             raise ZeroScaling("scaling factor must be nonzero")
 
     @property
     def is_real(self) -> bool:
-        return scalar_is_real(self.value)
+        return self.value.imag == 0
 
     def __str__(self) -> str:
         return str(self.value)
@@ -100,11 +97,10 @@ class BaseNumber:
         if self.kind == "complex":
             object.__setattr__(self, "payload", as_complex(p))
         else:
-            if isinstance(p, ComplexFraction):
-                if not p.is_real:
-                    raise NotInBaseSet(f"{self.kind} payload must be real")
-                p = p.re
-            p = Fraction(p)
+            p = as_exact(p)
+            if p.imag != 0:
+                raise NotInBaseSet(f"{self.kind} payload must be real")
+            p = p.real
             if self.kind == "natural" and (p < 0 or p.denominator != 1):
                 raise NotInBaseSet("natural payload must be a nonnegative integer")
             object.__setattr__(self, "payload", p)
@@ -116,8 +112,7 @@ class BaseNumber:
     @staticmethod
     def rational(value: Union[str, int, Fraction]) -> "BaseNumber":
         if isinstance(value, str):
-            num, _, den = value.partition("/")
-            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            value = parse_fraction(value)
         return BaseNumber("rational", Fraction(value))
 
     @staticmethod
@@ -143,14 +138,13 @@ class ScaledStructure:
             raise ValueError(f"unknown kind {self.kind!r}")
         t, s = self.factor_t.value, self.level_s.value
         if self.kind != "complex":
-            if not (scalar_is_real(t) and scalar_is_real(s)):
+            if t.imag != 0 or s.imag != 0:
                 raise ZeroScaling(f"{self.kind} structures need real factors")
         if self.kind == "natural":
             for name, v in (("factor", t), ("level", s)):
-                fv = v.re if isinstance(v, ComplexFraction) else Fraction(v)
-                if fv <= 0 or fv.denominator != 1:
+                if v.real <= 0 or v.real.denominator != 1:
                     raise ZeroScaling(f"natural {name} must be a positive integer")
-            stride = int(Fraction(t))
+            stride = int(t.real)
             if self.base_set_stride is None:
                 object.__setattr__(self, "base_set_stride", stride)
             elif self.base_set_stride != stride:
@@ -163,14 +157,11 @@ class ScaledStructure:
     @property
     def ratio(self) -> Scalar:
         """t/s, the factor relating level-s values to this structure's values."""
-        t, s = self.factor_t.value, self.level_s.value
-        if isinstance(t, ComplexFraction) or isinstance(s, ComplexFraction):
-            return as_complex(t) / as_complex(s)
-        return t / s
+        return self.factor_t.value / self.level_s.value
 
     @property
     def order_defined(self) -> bool:
-        return self.kind != "complex" and scalar_is_real(self.ratio)
+        return self.kind != "complex" and self.ratio.imag == 0
 
 
 def structure(kind: str, t: FactorLike, s: FactorLike,
@@ -196,17 +187,10 @@ def value_of(a: BaseNumber, s: FactorLike) -> ScaledValue:
     """
     sv = _factor_value(s)
     st = structure(a.kind, sv, sv)
-    if a.kind == "natural":
-        stride = Fraction(sv)
-        q = Fraction(a.payload) / stride
-        if q.denominator != 1:
-            raise NotInBaseSet(
-                f"{a.payload} is not a multiple of the stride {stride}"
-            )
-        return ScaledValue(st, Fraction(q))
-    if a.kind == "complex":
-        return ScaledValue(st, as_complex(a.payload) / as_complex(sv))
-    return ScaledValue(st, Fraction(a.payload) / Fraction(sv))
+    q = a.payload / sv
+    if a.kind == "natural" and q.denominator != 1:
+        raise NotInBaseSet(f"{a.payload} is not a multiple of the stride {sv}")
+    return ScaledValue(st, q)
 
 
 def number_of(v: Union[ScaledValue, Scalar], s: FactorLike,
@@ -220,19 +204,17 @@ def number_of(v: Union[ScaledValue, Scalar], s: FactorLike,
             raise TypeError("kind required when passing a raw scalar")
         raw = v
     sv = _factor_value(s)
+    raw = as_exact(raw)
     if kind == "complex":
-        payload: Scalar = as_complex(raw) * as_complex(sv)
-        return BaseNumber(kind, payload)
-    if isinstance(raw, ComplexFraction):
-        if not raw.is_real:
-            raise NotRepresentable(f"{kind} value must be real")
-        raw = raw.re
-    raw = Fraction(raw)
+        return BaseNumber(kind, raw * sv)
+    if raw.imag != 0:
+        raise NotRepresentable(f"{kind} value must be real")
+    raw = raw.real
     if kind == "natural" and (raw < 0 or raw.denominator != 1):
         raise NotRepresentable(
             f"value {raw} has no preimage in the stride-{sv} base set"
         )
-    return BaseNumber(kind, raw * Fraction(sv))
+    return BaseNumber(kind, raw * sv)
 
 
 def relabel(v: Union[ScaledValue, Scalar], t: FactorLike, s: FactorLike,
@@ -252,12 +234,7 @@ def relabel(v: Union[ScaledValue, Scalar], t: FactorLike, s: FactorLike,
         raw = v.value
     else:
         raw = v
-    if isinstance(tv, ComplexFraction) or isinstance(sv, ComplexFraction) \
-            or isinstance(raw, ComplexFraction):
-        out: Scalar = as_complex(tv) / as_complex(sv) * as_complex(raw)
-    else:
-        out = tv / sv * Fraction(raw)
-    return ScaledValue(structure(kind, sv, sv), out)
+    return ScaledValue(structure(kind, sv, sv), tv / sv * as_exact(raw))
 
 
 def group_action(t: FactorLike, level: FactorLike) -> ScalingFactor:
@@ -266,10 +243,7 @@ def group_action(t: FactorLike, level: FactorLike) -> ScalingFactor:
     The group is abelian; acting by t then u equals acting by u*t, and
     acting by the reciprocal of a level maps that level to 1.
     """
-    tv, cv = _factor_value(t), _factor_value(level)
-    if isinstance(tv, ComplexFraction) or isinstance(cv, ComplexFraction):
-        return ScalingFactor(as_complex(tv) * as_complex(cv))
-    return ScalingFactor(Fraction(tv) * Fraction(cv))
+    return ScalingFactor(_factor_value(t) * _factor_value(level))
 
 
 @dataclass(frozen=True)
@@ -300,7 +274,7 @@ def scaled_ops(st: ScaledStructure, inverse_mode: str = "axiom") -> ScaledOps:
     w: Scalar = st.ratio
     if st.kind == "complex":
         w = as_complex(w)
-    mul_factor = scalar_reciprocal(w)  # s/t
+    mul_factor = 1 / w  # s/t
     inv_factor = w * w if inverse_mode == "axiom" else w
 
     def add(a: Scalar, b: Scalar) -> Scalar:
@@ -315,26 +289,25 @@ def scaled_ops(st: ScaledStructure, inverse_mode: str = "axiom") -> ScaledOps:
     inv: Optional[Callable[[Scalar], Scalar]] = None
     if st.kind != "natural":
         def inv(a: Scalar) -> Scalar:  # type: ignore[no-redef]
-            if scalar_is_zero(a):
+            if a == 0:
                 raise DivisionByZero("scaled inverse of zero")
-            return inv_factor * scalar_reciprocal(a)
+            return inv_factor / a
 
     conj: Optional[Callable[[Scalar], Scalar]] = None
     if st.kind == "complex":
-        wc = as_complex(w)
-        conj_factor = wc / wc.conjugate()
+        conj_factor = w / w.conjugate()
 
         def conj(a: Scalar) -> Scalar:  # type: ignore[no-redef]
-            return conj_factor * as_complex(a).conjugate()
+            return conj_factor * a.conjugate()
 
     lt: Optional[Callable[[Scalar, Scalar], bool]] = None
     if st.order_defined:
-        reversed_order = real_part(w) < 0
+        reversed_order = w.real < 0
 
         def lt(a: Scalar, b: Scalar) -> bool:  # type: ignore[no-redef]
-            if not (scalar_is_real(a) and scalar_is_real(b)):
+            if a.imag != 0 or b.imag != 0:
                 raise OrderUndefined("order compares real values only")
-            ar, br = real_part(a), real_part(b)
+            ar, br = a.real, b.real
             return (ar > br) if reversed_order else (ar < br)
     else:
         def lt(a: Scalar, b: Scalar) -> bool:  # type: ignore[no-redef]
@@ -390,7 +363,7 @@ class ScaledVectorSpace:
     def smul(self, c: Scalar, v: Sequence[Scalar]) -> tuple:
         v = self._check(v)
         w = self.scalars.ratio
-        factor = scalar_reciprocal(w) if self.mode == "axiom" else w
+        factor = 1 / w if self.mode == "axiom" else w
         return tuple(factor * c * x for x in v)
 
     def norm_squared(self, v: Sequence[Scalar]) -> Scalar:
@@ -404,10 +377,7 @@ class ScaledVectorSpace:
         w = self.scalars.ratio
         total: Scalar = Fraction(0)
         for x in v:
-            if isinstance(x, ComplexFraction):
-                total = total + (x.conjugate() * x).re
-            else:
-                total = total + x * x
-        winv = scalar_reciprocal(w)
-        scale = winv * scalar_conj(winv) * w
+            total = total + (x.conjugate() * x).real
+        winv = 1 / w
+        scale = winv * winv.conjugate() * w
         return scale * total

@@ -166,6 +166,16 @@ def test_task_failures_exit_1_but_later_tasks_still_run(tmp_path, capsys):
         math.e - 1.0, rel=1e-12)
 
 
+def test_unwritable_csv_fails_its_task_with_an_io_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "00_pathlen.csv").mkdir(parents=True)
+    assert main(["run", write(tmp_path, minimal()), "--out", str(out)]) == 1
+    assert "task 0" in capsys.readouterr().err
+    entry = summary_of(str(out))["tasks"][0]
+    assert entry["status"] == "failed"
+    assert entry["error"].startswith("cannot write")
+
+
 def test_output_directory_precedence(tmp_path, monkeypatch):
     path = write(tmp_path, minimal(output="from_scenario"))
     scenario = parse_scenario(path)

@@ -75,6 +75,29 @@ def test_polyline_elbow_is_exact():
     assert local_path_length(q, BOX3, steps=6) == pytest.approx(2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("m, vertices", [
+    (BOX3, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 2.0, 0.0),
+            (1.0, 2.0, 1.5)]),
+    (BOX4, [(0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+            (0.0, 1.0, 2.0, 0.0), (0.5, 1.0, 2.0, 1.5),
+            (2.5, 1.0, 2.0, 1.5)]),
+])
+def test_polyline_with_unequal_segments_sums_segment_lengths(m, vertices):
+    # Every Simpson piece must use its own segment's tangent at both ends,
+    # including the vertex it shares with a longer or shorter neighbour.
+    v = np.array(vertices)
+    d = np.diff(v, axis=0)
+    expected = float(np.sum(np.sqrt(np.abs(
+        np.sum(m.metric_diagonal * d * d, axis=-1)))))
+    q = PolylinePath(v)
+    assert local_path_length(q, m) == pytest.approx(expected, rel=1e-12)
+    scaled = scaled_path_length(q, flat_field(m), v[0])
+    assert scaled == pytest.approx(expected, rel=1e-12)
+    flat_bump = PerturbedPath(q, np.zeros((1, 1)), (1,))
+    assert local_path_length(flat_bump, m) == pytest.approx(expected,
+                                                            rel=1e-12)
+
+
 def test_constant_theta_weight_is_identity():
     m = BOX3
     f = flat_field(m, theta=ConstantField(0.9))
