@@ -17,7 +17,6 @@ from .errors import (
     ScaleFieldError,
     ScenarioParseError,
     ScenarioValidationError,
-    TaskFailure,
     ZeroCoupling,
     ZeroLevel,
     ZeroScaling,

@@ -136,19 +136,18 @@ def _axiom_table(ops: ScaledOps):
 
 
 def axiom_suite(st: ScaledStructure, samples: int = 100, seed: int = 0,
-                ops: Optional[ScaledOps] = None,
-                inverse_mode: str = "axiom") -> AxiomReport:
+                ops: Optional[ScaledOps] = None) -> AxiomReport:
     """Exercise every applicable axiom on randomly drawn exact values.
 
     ``ops`` overrides the operation table (used to demonstrate corrupted
     or alternative-factor operations); otherwise the table comes from
-    ``scaled_ops(st, inverse_mode)``.  Each axiom walks the drawn sample
+    ``scaled_ops(st)``.  Each axiom walks the drawn sample
     pool in a decorrelated rotation, consuming up to three values per check.
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
     if ops is None:
-        ops = scaled_ops(st, inverse_mode=inverse_mode)
+        ops = scaled_ops(st)
     rng = random.Random(seed)
     pool = draw_values(st, samples, rng)
     n = len(pool)

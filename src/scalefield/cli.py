@@ -4,10 +4,12 @@
     scalefield validate <scenario.json>
     scalefield axioms --kind rational --t 3/2 --s 2 [--samples N] [--seed K]
 
-`run` executes the scenario and reports 0 on success, 1 on a task failure,
-2 on a parse error, 3 on a validation error.  `validate` checks a scenario
-without running it (same 0/2/3 codes).  `axioms` exercises one scaled
-structure directly and reports 0 only if every axiom holds.
+`run` executes the scenario and reports 0 on success, 1 on a task failure
+or when the output directory or summary.json cannot be written (stderr then
+says "error: cannot write ..."), 2 on a parse error, 3 on a validation
+error.  `validate` checks a scenario without running it (same 0/2/3
+codes).  `axioms` exercises one scaled structure directly and reports 0
+only if every axiom holds.
 """
 
 from __future__ import annotations

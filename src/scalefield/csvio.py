@@ -51,7 +51,8 @@ def emit_csv(header: Sequence[str], rows: Iterable[Sequence],
 
 
 def write_text(target: str, text: str) -> None:
-    """Write rendered CSV text as UTF-8, byte for byte; OSError -> IoError."""
+    """Write rendered CSV or JSON text as UTF-8, byte for byte;
+    OSError -> IoError."""
     try:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

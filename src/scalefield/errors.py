@@ -59,9 +59,5 @@ class ScenarioValidationError(ScaleFieldError):
     """Scenario input is well-formed but semantically inconsistent."""
 
 
-class TaskFailure(ScaleFieldError):
-    """A scenario task failed while running."""
-
-
 class IoError(ScaleFieldError):
     """A result file could not be written."""

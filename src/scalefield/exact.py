@@ -1,10 +1,11 @@
 """Exact scalar arithmetic for scaled number structures.
 
 Rational and real-kind quantities are plain ``fractions.Fraction`` values.
-Real-kind inputs given as decimal strings are parsed through ``decimal`` at a
-configurable precision (finite decimals are exact rationals, so nothing is
-lost downstream).  Complex quantities are ``ComplexFraction`` pairs of
-Fractions with exact field arithmetic.
+Real-kind inputs given as decimal strings are parsed through ``decimal`` at
+``DEFAULT_REAL_DIGITS`` significant digits, the one precision setting
+(finite decimals are exact rationals, so nothing is lost downstream).
+Complex quantities are ``ComplexFraction`` pairs of Fractions with exact
+field arithmetic.
 
 ``ComplexFraction`` speaks the same number protocol as ``Fraction``: the
 arithmetic and comparison operators (reflected ones included, so mixed
@@ -123,19 +124,19 @@ def as_exact(x) -> Scalar:
     return Fraction(x)
 
 
-def real_fraction(value: Union[str, float, int, Fraction, Decimal],
-                  digits: int = DEFAULT_REAL_DIGITS) -> Fraction:
+def real_fraction(value: Union[str, float, int, Fraction, Decimal]) -> Fraction:
     """Parse a real-kind payload into an exact Fraction.
 
-    Strings and floats go through ``decimal`` rounded to ``digits``
-    significant digits; Fractions and ints pass through exactly.
+    Strings and floats go through ``decimal`` rounded to
+    ``DEFAULT_REAL_DIGITS`` significant digits; Fractions and ints pass
+    through exactly.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DEFAULT_REAL_DIGITS
         if isinstance(value, Decimal):
             d = +value
         elif isinstance(value, float):

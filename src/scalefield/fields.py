@@ -170,7 +170,7 @@ class TabulatedField(FieldSpec):
         object.__setattr__(self, "_interp", interp)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return self._interp(pts)
+        return self._interp(pts).reshape(pts.shape[:-1])
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ScenarioValidationError(
@@ -209,6 +209,14 @@ class CombinationField(FieldSpec):
         return all(c == 0 or s.is_constant for c, s in self.terms)
 
 
+def _central_difference(spec: FieldSpec, pts: np.ndarray, axis: int,
+                       h: float) -> np.ndarray:
+    """Second-order central difference of ``spec`` along ``axis``, step h."""
+    offset = np.zeros(pts.shape[-1])
+    offset[axis] = h
+    return (spec.value(pts + offset) - spec.value(pts - offset)) / (2.0 * h)
+
+
 @dataclass(frozen=True)
 class AxisDerivativeField(FieldSpec):
     """The scalar field x -> d(base)/dx_axis.
@@ -226,11 +234,7 @@ class AxisDerivativeField(FieldSpec):
     def value(self, pts: np.ndarray) -> np.ndarray:
         if self.fd_step is None:
             return self.base.gradient(pts)[..., self.axis]
-        h = self.fd_step
-        offset = np.zeros(pts.shape[-1])
-        offset[self.axis] = h
-        return (self.base.value(pts + offset)
-                - self.base.value(pts - offset)) / (2.0 * h)
+        return _central_difference(self.base, pts, self.axis, self.fd_step)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ScenarioValidationError(
@@ -259,11 +263,8 @@ class FieldSample:
 
     manifold: Manifold
     values: np.ndarray
-    role: str = "scalar"
 
     def __post_init__(self) -> None:
-        if self.role not in ("scalar", "vector_component"):
-            raise ValueError(f"unknown role {self.role!r}")
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != self.manifold.grid_shape:
             raise ValueError(
@@ -333,10 +334,7 @@ class ScalingField:
             )
         out = np.empty(pts.shape)
         for axis in range(self.manifold.dimension):
-            offset = np.zeros(pts.shape[-1])
-            offset[axis] = h
-            out[..., axis] = (spec.value(pts + offset)
-                              - spec.value(pts - offset)) / (2.0 * h)
+            out[..., axis] = _central_difference(spec, pts, axis, h)
         return out
 
     def gamma_delta(self, x) -> Tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ point-taking APIs accept arrays of shape (..., dim).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -30,13 +30,7 @@ class Manifold:
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         if len(bounds) != self.dimension:
             raise ValueError("one (lo, hi) pair per axis required")
-        spacing = self.spacing
-        if isinstance(spacing, (int, float)):
-            spacing = (float(spacing),) * self.dimension
-        else:
-            spacing = tuple(float(h) for h in spacing)
-            if len(spacing) == 1:
-                spacing = spacing * self.dimension
+        spacing = tuple(float(h) for h in self.spacing)
         if len(spacing) != self.dimension:
             raise ValueError("one spacing per axis required")
         for (lo, hi), h in zip(bounds, spacing):
@@ -53,15 +47,11 @@ class Manifold:
         object.__setattr__(self, "spacing", spacing)
 
     @staticmethod
-    def box(bounds: Sequence[Sequence[float]],
-            nodes: Union[int, Sequence[int]]) -> "Manifold":
-        """Build a manifold from bounds and node counts per axis."""
+    def box(bounds: Sequence[Sequence[float]], nodes: int) -> "Manifold":
+        """Build a manifold from bounds and one node count for every axis."""
         dim = len(bounds)
-        if isinstance(nodes, int):
-            nodes = (nodes,) * dim
         spacing = tuple(
-            (float(hi) - float(lo)) / (n - 1)
-            for (lo, hi), n in zip(bounds, nodes)
+            (float(hi) - float(lo)) / (nodes - 1) for lo, hi in bounds
         )
         return Manifold(dim, tuple((float(lo), float(hi)) for lo, hi in bounds),
                         spacing)

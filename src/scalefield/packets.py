@@ -36,7 +36,7 @@ class WavePacket:
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
         m = self.manifold
-        shape = tuple(m.grid_shape[a] for a in m.spatial_axes)
+        shape = self.spatial_shape
         if amp.shape != shape:
             raise ValueError(
                 f"amplitudes shape {amp.shape} does not match the spatial "
@@ -64,7 +64,7 @@ class WavePacket:
 
     def points(self) -> np.ndarray:
         """Full-dimensional coordinates of every node in the slice."""
-        mesh = spatial_mesh(self.manifold)
+        mesh = self.manifold.grid_points(self.manifold.spatial_axes)
         if self.manifold.dimension == 3:
             return mesh
         t = np.full(mesh.shape[:-1] + (1,), self.time_slice)
@@ -84,12 +84,6 @@ def packet_norm_squared(psi: WavePacket) -> float:
     return float(np.sum(np.abs(psi.amplitudes) ** 2)) * psi.cell_volume
 
 
-def spatial_mesh(manifold: Manifold) -> np.ndarray:
-    """Spatial node coordinates, shape = spatial grid shape + (n_spatial,)."""
-    axes = [manifold.axis_nodes(a) for a in manifold.spatial_axes]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def gaussian_packet(manifold: Manifold, center, width: float,
                     momentum=None, time_slice: Optional[float] = None,
                     ) -> WavePacket:
@@ -97,7 +91,7 @@ def gaussian_packet(manifold: Manifold, center, width: float,
     c = np.asarray(center, dtype=float)
     if c.shape != (len(manifold.spatial_axes),):
         raise ValueError("center must have one entry per spatial axis")
-    d = spatial_mesh(manifold) - c
+    d = manifold.grid_points(manifold.spatial_axes) - c
     amp = np.exp(-np.sum(d * d, axis=-1) / (2.0 * float(width) ** 2))
     amp = amp.astype(complex)
     if momentum is not None:

@@ -45,11 +45,6 @@ class Path:
     def breakpoints(self) -> Tuple[float, ...]:
         return (0.0, 1.0)
 
-    @property
-    def endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
-        q = self.position(np.array([0.0, 1.0]))
-        return q[0], q[1]
-
 
 @dataclass(frozen=True, eq=False)
 class SegmentPath(Path):

@@ -6,8 +6,9 @@ echoed, so a run is self-describing), and headline scalars.  All file
 content is deterministic for a fixed scenario and seed: no timestamps, no
 absolute paths, sorted JSON keys, fixed float formatting.
 
-Exit codes: 0 all tasks ok, 1 a task failed, 2 parse error, 3 validation
-error.
+Exit codes: 0 all tasks ok, 1 a task failed or the output directory or
+summary.json could not be written ("error: cannot write ..." on stderr),
+2 parse error, 3 validation error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .axioms import axiom_suite
-from .errors import ScaleFieldError, ScenarioParseError, ScenarioValidationError
+from .errors import (
+    IoError,
+    ScaleFieldError,
+    ScenarioParseError,
+    ScenarioValidationError,
+)
 from .csvio import render_csv, write_text
 from .fields import eval_f
 from .gauge import invariance_residual
@@ -247,7 +253,12 @@ def run_scenario(path: str, out: Optional[str] = None,
 
     run_seed = seed if seed is not None else scenario.seed
     out_dir = resolve_output_dir(scenario, path, out)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot write {out_dir}: {err.strerror}",
+              file=sys.stderr)
+        return EXIT_TASK_FAILURE
 
     entries: List[Dict[str, Any]] = []
     all_ok = True
@@ -288,10 +299,12 @@ def run_scenario(path: str, out: Optional[str] = None,
         "gradient_mode": rt.field.gradient_mode,
         "tasks": entries,
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        write_text(os.path.join(out_dir, "summary.json"),
+                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except IoError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_TASK_FAILURE
     if verbose:
         print(f"wrote {len(entries)} task results to {out_dir}")
     return EXIT_OK if all_ok else EXIT_TASK_FAILURE

@@ -92,12 +92,6 @@ def _string(node: Any, path: str) -> str:
     return node
 
 
-def _boolean(node: Any, path: str) -> bool:
-    if not isinstance(node, bool):
-        raise _fail(path, f"expected true or false, got {type(node).__name__}")
-    return node
-
-
 def _array(node: Any, path: str) -> List[Any]:
     if not isinstance(node, list):
         raise _fail(path, f"expected an array, got {type(node).__name__}")
@@ -472,12 +466,10 @@ class RuntimeScenario:
 
 def _build_spec(spec: FieldSpec, manifold: Manifold, label: str) -> FieldSpec:
     if isinstance(spec, _TabulatedStub):
-        values = np.asarray(spec.raw_values, dtype=float)
-        if values.shape != manifold.grid_shape:
-            raise ScenarioValidationError(
-                f"{label}: tabulated values have shape {values.shape}, "
-                f"the grid has {manifold.grid_shape}")
-        return TabulatedField(manifold, values)
+        try:
+            return TabulatedField(manifold, spec.raw_values)
+        except (TypeError, ValueError, ScenarioValidationError) as err:
+            raise ScenarioValidationError(f"{label}: {err}")
     if isinstance(spec, CombinationField):
         return CombinationField(tuple(
             (w, _build_spec(s, manifold, label)) for w, s in spec.terms))

@@ -14,10 +14,10 @@ structure axioms keep holding after relabeling:
     conj(A)    = (w / conj(w)) conj(A),  w = t/s
 
 The inverse factor is squared because mul(A, inv(A)) must return the scaled
-identity; an alternative single-factor mode is provided (``inverse_mode=
-"linear"``) purely so the axiom suite can demonstrate that it breaks the
-identity and inverse axioms.  The order relation only exists for real kinds
-and flips direction when t and s have opposite signs.
+identity; a single t/s factor would break the identity and inverse axioms
+(the axiom suite shows this through an injected operation table).  The order
+relation only exists for real kinds and flips direction when t and s have
+opposite signs.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class ScalingFactor:
             raise TypeError(f"scaling factor must be exact, got {type(v).__name__}")
         if v == 0:
             raise ZeroScaling("scaling factor must be nonzero")
-
-    @property
-    def is_real(self) -> bool:
-        return self.value.imag == 0
 
     def __str__(self) -> str:
         return str(self.value)
@@ -116,8 +112,8 @@ class BaseNumber:
         return BaseNumber("rational", Fraction(value))
 
     @staticmethod
-    def real(value, digits: int = 50) -> "BaseNumber":
-        return BaseNumber("real", real_fraction(value, digits))
+    def real(value) -> "BaseNumber":
+        return BaseNumber("real", real_fraction(value))
 
     @staticmethod
     def complex(re, im=0) -> "BaseNumber":
@@ -261,21 +257,17 @@ class ScaledOps:
     lt: Optional[Callable[[Scalar, Scalar], bool]] = None
 
 
-def scaled_ops(st: ScaledStructure, inverse_mode: str = "axiom") -> ScaledOps:
+def scaled_ops(st: ScaledStructure) -> ScaledOps:
     """Build the operation table for ``st``.
 
-    ``inverse_mode="axiom"`` applies the (t/s)^2 inverse factor required by
-    mul(A, inv(A)) = identity.  ``inverse_mode="linear"`` applies a single
-    t/s factor, matching the other unary constants but breaking the inverse
-    axiom whenever t != s; it exists to be exercised by the axiom suite.
+    The inverse carries the (t/s)^2 factor required by
+    mul(A, inv(A)) = identity.
     """
-    if inverse_mode not in ("axiom", "linear"):
-        raise ValueError(f"unknown inverse_mode {inverse_mode!r}")
     w: Scalar = st.ratio
     if st.kind == "complex":
         w = as_complex(w)
     mul_factor = 1 / w  # s/t
-    inv_factor = w * w if inverse_mode == "axiom" else w
+    inv_factor = w * w
 
     def add(a: Scalar, b: Scalar) -> Scalar:
         return a + b
@@ -334,20 +326,15 @@ class ScaledVectorSpace:
 
     Vector values transform between levels with the same t/s factor as
     scalar values.  Scalar multiplication therefore carries an s/t factor so
-    the scaled identity scalar acts as the identity map; ``mode="linear"``
-    applies the bare t/s factor instead (breaking that axiom) so tests can
-    surface the difference.
+    the scaled identity scalar acts as the identity map.
     """
 
     dimension: int
     scalars: ScaledStructure
-    mode: str = "axiom"
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.mode not in ("axiom", "linear"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.scalars.kind == "natural":
             raise ValueError("vector spaces need field scalars")
 
@@ -362,8 +349,7 @@ class ScaledVectorSpace:
 
     def smul(self, c: Scalar, v: Sequence[Scalar]) -> tuple:
         v = self._check(v)
-        w = self.scalars.ratio
-        factor = 1 / w if self.mode == "axiom" else w
+        factor = 1 / self.scalars.ratio
         return tuple(factor * c * x for x in v)
 
     def norm_squared(self, v: Sequence[Scalar]) -> Scalar:

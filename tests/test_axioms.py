@@ -21,6 +21,12 @@ def names(report, passed):
     return {r.name for r in report.results if r.passed == passed}
 
 
+def linear_inverse_ops(st_r):
+    """Operations whose inverse carries a single t/s factor, not (t/s)^2."""
+    w = st_r.ratio
+    return replace(scaled_ops(st_r), inv=lambda a: w / a)
+
+
 def test_rational_structure_passes_all():
     report = axiom_suite(structure("rational", F(3, 7), F(2)), samples=60, seed=1)
     assert report.all_passed
@@ -77,14 +83,14 @@ def test_swapped_mul_factor_breaks_identity_and_inverse():
 
 
 def test_linear_inverse_mode_fails_inverse_axiom_only():
-    report = axiom_suite(structure("rational", 5, 2), samples=60, seed=8,
-                         inverse_mode="linear")
+    st_r = structure("rational", 5, 2)
+    report = axiom_suite(st_r, samples=60, seed=8, ops=linear_inverse_ops(st_r))
     assert names(report, False) == {"multiplicative_inverse"}
 
 
 def test_linear_inverse_mode_is_silent_when_unscaled():
-    report = axiom_suite(structure("rational", 3, 3), samples=30, seed=9,
-                         inverse_mode="linear")
+    st_r = structure("rational", 3, 3)
+    report = axiom_suite(st_r, samples=30, seed=9, ops=linear_inverse_ops(st_r))
     assert report.all_passed
 
 
@@ -96,7 +102,7 @@ def test_report_is_deterministic():
 
 def test_report_lines_mention_failures():
     st_r = structure("rational", 5, 2)
-    report = axiom_suite(st_r, samples=30, seed=12, inverse_mode="linear")
+    report = axiom_suite(st_r, samples=30, seed=12, ops=linear_inverse_ops(st_r))
     text = "\n".join(report.lines())
     assert "FAIL" in text and "pass" in text
 

@@ -176,6 +176,43 @@ def test_unwritable_csv_fails_its_task_with_an_io_error(tmp_path, capsys):
     assert entry["error"].startswith("cannot write")
 
 
+def test_unwritable_output_directory_or_summary_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    path = write(tmp_path, minimal())
+    assert main(["run", path, "--out", str(blocker / "sub")]) == 1
+    assert "error: cannot write" in capsys.readouterr().err
+    out = tmp_path / "o"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["run", path, "--out", str(out)]) == 1
+    assert "error: cannot write" in capsys.readouterr().err
+    assert (out / "00_pathlen.csv").is_file()
+
+
+def test_tabulated_theta_serves_single_point_tasks(tmp_path):
+    # theta = x0 sampled on the 9^3 grid; multilinear interpolation is exact
+    axis = [-2.0 + 0.5 * i for i in range(9)]
+    grid = [[[x0] * 9 for _ in range(9)] for x0 in axis]
+    doc = minimal(tasks=[
+        {"type": "pathlen",
+         "path": {"kind": "segment",
+                  "start": [0.0, 0.0, 0.0], "end": [1.0, 0.0, 0.0]}},
+        {"type": "compare", "mode": "parallel-transform",
+         "reference": {"location": [0.0, 0.0, 0.0], "kind": "rational",
+                       "payload": 1},
+         "target": {"location": [1.0, 0.0, 0.0], "kind": "rational",
+                    "payload": 1}}])
+    doc["fields"] = {"theta": {"family": "tabulated", "values": grid},
+                     "gradient_mode": "central"}
+    out = str(tmp_path / "run")
+    assert main(["run", write(tmp_path, doc), "--out", out]) == 0
+    pathlen, compare = summary_of(out)["tasks"]
+    assert pathlen["results"]["scaled_length"] == pytest.approx(
+        math.e - 1, rel=1e-12)
+    assert compare["results"]["ratio"] == pytest.approx([math.e, 0.0],
+                                                        rel=1e-12)
+
+
 def test_output_directory_precedence(tmp_path, monkeypatch):
     path = write(tmp_path, minimal(output="from_scenario"))
     scenario = parse_scenario(path)

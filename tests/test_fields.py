@@ -187,6 +187,8 @@ def test_tabulated_field_matches_sampled_function():
     tab = TabulatedField(m, spec.value(m.grid_points()))
     x = np.array([0.31, -0.4, 0.12])
     assert tab.value(x[None])[0] == pytest.approx(spec.value(x[None])[0], abs=2e-3)
+    # one point in, one scalar out: shape (), like the analytic families
+    assert tab.value(x).shape == spec.value(x).shape == ()
     node = np.array([m.axis_nodes(0)[7], m.axis_nodes(1)[12], m.axis_nodes(2)[20]])
     assert tab.value(node[None])[0] == pytest.approx(spec.value(node[None])[0],
                                                      abs=1e-12)
@@ -221,7 +223,7 @@ def test_field_sample_shape_checked():
 
 def test_manifold_spacing_must_tile():
     with pytest.raises(ValueError):
-        Manifold(3, ((0.0, 1.0),) * 3, (0.3,))
+        Manifold(3, ((0.0, 1.0),) * 3, (0.3, 0.3, 0.3))
 
 
 def test_minkowski_metric_on_dim_four():

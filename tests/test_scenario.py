@@ -6,10 +6,12 @@ trip test pins the documented defaults (phi, gradient mode, task knobs).
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from scalefield.cli import main
 from scalefield.errors import ScenarioParseError, ScenarioValidationError
 from scalefield.fields import (
     CombinationField,
@@ -296,6 +298,29 @@ def test_tabulated_values_of_the_right_shape_build():
     doc["fields"]["gradient_mode"] = "central"
     rt = ok(doc)
     assert isinstance(rt.field.theta, TabulatedField)
+
+
+@pytest.mark.parametrize("cell", ["x", {}])
+@pytest.mark.parametrize("where", ["fields.theta", "gauge.photon[0]",
+                                   "gauge.alpha", "gauge.gamma"])
+def test_non_numeric_tabulated_values_are_validation_errors(where, cell,
+                                                            tmp_path):
+    doc = base()
+    doc["manifold"]["nodes"] = 3
+    const = {"family": "constant", "constant": 0.0}
+    bad = {"family": "tabulated", "values": [[[cell] * 3] * 3] * 3}
+    doc["gauge"] = {"g_r": 1.0, "g_i": 1.0, "h_i": 0.5,
+                    "photon": [const] * 3, "alpha": const, "gamma": const}
+    if where == "fields.theta":
+        doc["fields"]["theta"] = bad
+    elif where == "gauge.photon[0]":
+        doc["gauge"]["photon"] = [bad, const, const]
+    else:
+        doc["gauge"][where.split(".")[1]] = bad
+    invalid(doc, re.escape(f"scenario.{where}: "))
+    target = tmp_path / "scenario.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(target)]) == 3
 
 
 def test_manifold_construction_errors_become_validation_errors():

@@ -151,8 +151,10 @@ def test_inverse_of_zero_rejected():
 
 
 def test_linear_inverse_mode_misses_identity():
-    ops = scaled_ops(structure("rational", 4, 1), inverse_mode="linear")
-    assert ops.mul(F(2), ops.inv(F(2))) == 1 != ops.identity
+    st_r = structure("rational", 4, 1)
+    ops = scaled_ops(st_r)
+    linear_inverse = st_r.ratio / F(2)  # a single t/s factor, not (t/s)^2
+    assert ops.mul(F(2), linear_inverse) == 1 != ops.identity
 
 
 def test_naturals_have_no_inverse():
@@ -242,10 +244,13 @@ def test_identity_scalar_acts_as_identity():
 
 
 def test_linear_smul_mode_breaks_identity_action():
-    vs = ScaledVectorSpace(2, structure("rational", 5, 2), mode="linear")
+    vs = ScaledVectorSpace(2, structure("rational", 5, 2))
     ops = scaled_ops(vs.scalars)
     v = (F(1), F(0))
-    assert vs.smul(ops.identity, v) != v
+    # the bare t/s factor in place of s/t misses the identity action
+    linear = tuple(vs.scalars.ratio * ops.identity * x for x in v)
+    assert linear != v
+    assert vs.smul(ops.identity, v) == v
 
 
 def test_vadd_is_componentwise():
