@@ -21,7 +21,7 @@ from .errors import (
     ZeroLevel,
     ZeroScaling,
 )
-from .exact import ComplexFraction, parse_fraction, real_fraction
+from .exact import ComplexFraction, parse_fraction
 from .fields import (
     AxisDerivativeField,
     CombinationField,
@@ -35,10 +35,8 @@ from .fields import (
     ScalingField,
     TabulatedField,
     connection_factor,
-    covariant_derivative,
     eval_f,
     gradients,
-    structure_derivative,
 )
 from .gauge import (
     GaugeConfig,

@@ -19,16 +19,9 @@ import sys
 from typing import Optional, Sequence
 
 from .axioms import axiom_suite
-from .errors import ScaleFieldError, ScenarioParseError, ScenarioValidationError
+from .errors import ScaleFieldError
 from .exact import parse_fraction
-from .runner import (
-    EXIT_OK,
-    EXIT_PARSE_ERROR,
-    EXIT_TASK_FAILURE,
-    EXIT_VALIDATION_ERROR,
-    run_scenario,
-)
-from .scenario import parse_scenario, validate_scenario
+from .runner import EXIT_OK, EXIT_TASK_FAILURE, load_scenario, run_scenario
 from .structures import KINDS, structure
 
 
@@ -66,18 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(path: str) -> int:
-    try:
-        scenario = parse_scenario(path)
-    except ScenarioParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        validate_scenario(scenario)
-    except ScenarioValidationError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
-    print(f"ok: {len(scenario.tasks)} task(s), "
-          f"dimension {scenario.manifold.dimension}")
+    code, rt = load_scenario(path)
+    if code != EXIT_OK:
+        return code
+    print(f"ok: {len(rt.scenario.tasks)} task(s), "
+          f"dimension {rt.manifold.dimension}")
     return EXIT_OK
 
 

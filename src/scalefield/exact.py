@@ -1,9 +1,9 @@
 """Exact scalar arithmetic for scaled number structures.
 
 Rational and real-kind quantities are plain ``fractions.Fraction`` values.
-Real-kind inputs given as decimal strings are parsed through ``decimal`` at
-``DEFAULT_REAL_DIGITS`` significant digits, the one precision setting
-(finite decimals are exact rationals, so nothing is lost downstream).
+Strings such as "3/2" or "0.125" are read exactly: scenario and CLI input
+goes through ``parse_fraction``, library input through ``as_exact``.  A
+finite decimal is an exact rational, so there is no precision setting.
 Complex quantities are ``ComplexFraction`` pairs of Fractions with exact
 field arithmetic.
 
@@ -17,14 +17,11 @@ expression such as ``t / s * v`` serves every kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 from .errors import DivisionByZero
-
-#: Significant digits used when parsing real-kind decimal input.
-DEFAULT_REAL_DIGITS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,28 +119,6 @@ def as_exact(x) -> Scalar:
     if isinstance(x, ComplexFraction):
         return x
     return Fraction(x)
-
-
-def real_fraction(value: Union[str, float, int, Fraction, Decimal]) -> Fraction:
-    """Parse a real-kind payload into an exact Fraction.
-
-    Strings and floats go through ``decimal`` rounded to
-    ``DEFAULT_REAL_DIGITS`` significant digits; Fractions and ints pass
-    through exactly.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = DEFAULT_REAL_DIGITS
-        if isinstance(value, Decimal):
-            d = +value
-        elif isinstance(value, float):
-            d = +Decimal(repr(value))
-        else:
-            d = +Decimal(str(value))
-    return Fraction(d)
 
 
 def parse_fraction(text: str) -> Fraction:

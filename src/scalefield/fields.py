@@ -5,13 +5,15 @@ shape (...); analytic families also provide exact gradients of shape
 (..., dim).  The scaling field bundles theta and phi over a manifold and
 exposes the quantities everything downstream consumes: f itself, the real
 and imaginary connection components (Gamma, Delta) = (grad theta, grad phi),
-connection factors between points, and connection-modified derivatives.
+and ``connection_factor``, the one f(y)/f(x) that outcomes and packets use.
+The connection-modified derivative lives in ``gauge``: without a gauge field
+it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -153,7 +155,12 @@ class TabulatedField(FieldSpec):
     has_analytic_gradient = False
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(self.values)
+        if vals.dtype.kind not in "iuf":
+            # float() would take "1.5" or true; scenario numbers never do
+            raise ScenarioValidationError(
+                f"tabulated values must be numbers, got dtype {vals.dtype}")
+        vals = np.asarray(vals, dtype=float)
         if vals.shape != self.manifold.grid_shape:
             raise ScenarioValidationError(
                 f"tabulated values shape {vals.shape} does not match grid "
@@ -318,12 +325,6 @@ class ScalingField:
         pts = self.manifold.require_inside(x)
         return np.asarray(self.phi.value(pts))
 
-    def log_ratio(self, y, x) -> np.ndarray:
-        """theta(y) - theta(x) + i (phi(y) - phi(x)), the exact log of f(y)/f(x)."""
-        ty, tx = self.theta_at(y), self.theta_at(x)
-        py, px = self.phi_at(y), self.phi_at(x)
-        return (ty - tx) + 1j * (py - px)
-
     def _spec_gradient(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
         if self.gradient_mode == "analytic":
             return spec.gradient(pts)
@@ -355,42 +356,12 @@ def gradients(fieldref: ScalingField, x) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def connection_factor(fieldref: ScalingField, y, x) -> np.ndarray:
-    """f(y)/f(x), computed in exponent-difference form.
+    """f(y)/f(x) = exp(theta(y) - theta(x) + i (phi(y) - phi(x))).
 
-    The difference form makes the factor exactly 1 at y = x, keeps the
-    cocycle identity tight, and cancels constant shifts of theta and phi to
-    machine precision.
+    The exponent-difference form makes the factor exactly 1 at y = x, keeps
+    the cocycle identity tight, and cancels constant shifts of theta and phi
+    to machine precision.
     """
-    return np.exp(fieldref.log_ratio(y, x))
-
-
-def structure_derivative(fieldref: ScalingField, x, mu: int) -> np.ndarray:
-    """(d_mu f)/f = Gamma_mu + i Delta_mu, the coefficient a constant-number
-    field picks up from the position dependence of the structures."""
-    gamma, delta = fieldref.gamma_delta(x)
-    return gamma[..., mu] + 1j * delta[..., mu]
-
-
-def covariant_derivative(psi: FieldSample, fieldref: ScalingField, x,
-                         mu: int) -> complex:
-    """D_mu psi = d_mu psi + (Gamma_mu + i Delta_mu) psi at a grid node."""
-    return _central_covariant(
-        psi, fieldref, x, mu,
-        lambda pts: structure_derivative(fieldref, pts, mu))
-
-
-def _central_covariant(psi: FieldSample, fieldref: ScalingField, x, mu: int,
-                       coefficient: Callable[[np.ndarray], complex]) -> complex:
-    """d_mu psi + coefficient(x) psi at a grid node, d_mu by central difference."""
-    m = fieldref.manifold
-    if psi.manifold != m:
-        raise ValueError("sample and field live on different manifolds")
-    idx = m.node_index(x)
-    if idx[mu] == 0 or idx[mu] == m.grid_shape[mu] - 1:
-        raise BoundaryPoint(f"axis {mu} stencil leaves the grid at {idx}")
-    fwd, bwd = list(idx), list(idx)
-    fwd[mu] += 1
-    bwd[mu] -= 1
-    h = m.spacing[mu]
-    dpsi = (psi.values[tuple(fwd)] - psi.values[tuple(bwd)]) / (2.0 * h)
-    return dpsi + coefficient(m.as_points(x)) * psi.values[idx]
+    log = (fieldref.theta_at(y) - fieldref.theta_at(x)) \
+        + 1j * (fieldref.phi_at(y) - fieldref.phi_at(x))
+    return np.exp(log)

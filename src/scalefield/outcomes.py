@@ -17,11 +17,11 @@ semantics coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .fields import ScalingField
+from .fields import ScalingField, connection_factor
 from .structures import BaseNumber
 
 COMPARISON_MODES = ("physical-transmission", "parallel-transform")
@@ -69,8 +69,8 @@ def compare_outcomes(reference: Outcome, target: Outcome,
     if mode == "physical-transmission":
         return ComparisonReport(mode=mode, equal=equal)
 
-    log = fieldref.log_ratio(target.location, reference.location)
-    ratio = complex(np.exp(log))
+    ratio = complex(connection_factor(fieldref, target.location,
+                                      reference.location))
     r_value = complex(reference.number.payload)
     t_value = complex(target.number.payload)
     transported = ratio * r_value

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import OutOfBounds
-from .fields import Level, ScalingField
+from .fields import Level, ScalingField, connection_factor
 from .manifold import Manifold
 
 
@@ -115,8 +115,8 @@ def scale_wave_packet(psi: WavePacket, field: ScalingField, x0,
         raise ValueError("packet and field live on different manifolds")
     x0 = field.manifold.require_inside(x0)
     pts = psi.points().reshape(-1, field.manifold.dimension)
-    log = field.log_ratio(pts, x0[None, :])
-    factor = np.exp(log).reshape(psi.spatial_shape)
+    factor = connection_factor(field, pts, x0[None, :]).reshape(
+        psi.spatial_shape)
     return WavePacket(psi.manifold, factor * psi.amplitudes,
                       time_slice=psi.time_slice)
 

@@ -237,19 +237,31 @@ def resolve_output_dir(scenario: Scenario, scenario_path: str,
                         f"{stem}_out")
 
 
-def run_scenario(path: str, out: Optional[str] = None,
-                 seed: Optional[int] = None, verbose: bool = False) -> int:
-    """Parse, validate, run every task, write results; returns the exit code."""
+def load_scenario(path: str) -> Tuple[int, Optional[RuntimeScenario]]:
+    """Parse and validate ``path``, as ``run`` and ``validate`` both do.
+
+    Returns (EXIT_OK, runtime), or (EXIT_PARSE_ERROR or
+    EXIT_VALIDATION_ERROR, None) after printing the error to stderr.
+    """
     try:
         scenario = parse_scenario(path)
     except ScenarioParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return EXIT_PARSE_ERROR, None
     try:
-        rt = validate_scenario(scenario)
+        return EXIT_OK, validate_scenario(scenario)
     except ScenarioValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
+        return EXIT_VALIDATION_ERROR, None
+
+
+def run_scenario(path: str, out: Optional[str] = None,
+                 seed: Optional[int] = None, verbose: bool = False) -> int:
+    """Parse, validate, run every task, write results; returns the exit code."""
+    code, rt = load_scenario(path)
+    if code != EXIT_OK:
+        return code
+    scenario = rt.scenario
 
     run_seed = seed if seed is not None else scenario.seed
     out_dir = resolve_output_dir(scenario, path, out)

@@ -80,6 +80,13 @@ def _number(node: Any, path: str) -> float:
     return float(node)
 
 
+def _positive(node: Any, path: str) -> float:
+    value = _number(node, path)
+    if not value > 0:
+        raise _fail(path, "must be positive")
+    return value
+
+
 def _integer(node: Any, path: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise _fail(path, f"expected an integer, got {type(node).__name__}")
@@ -159,7 +166,7 @@ def build_field_spec(node: Any, path: str, dimension: int) -> FieldSpec:
         return GaussianField(
             _number(tree["amplitude"], f"{path}.amplitude"),
             _numbers(tree["center"], f"{path}.center", dimension),
-            _number(tree["width"], f"{path}.width"),
+            _positive(tree["width"], f"{path}.width"),
             axes=axes,
         )
     if family == "radial_polynomial":
@@ -376,8 +383,8 @@ def _parse_task(node: Any, path: str, dim: int) -> Task:
                     ("h_tau", "drag_contraction"))
         p["position"] = _numbers(tree["position"], f"{path}.position", dim)
         p["velocity"] = _numbers(tree["velocity"], f"{path}.velocity", dim)
-        p["tau_end"] = _number(tree["tau_end"], f"{path}.tau_end")
-        p["h_tau"] = _number(tree.get("h_tau", 1e-3), f"{path}.h_tau")
+        p["tau_end"] = _positive(tree["tau_end"], f"{path}.tau_end")
+        p["h_tau"] = _positive(tree.get("h_tau", 1e-3), f"{path}.h_tau")
         p["drag_contraction"] = _choice(
             tree.get("drag_contraction", "euclidean"),
             f"{path}.drag_contraction", ("euclidean", "minkowski"))
@@ -387,12 +394,14 @@ def _parse_task(node: Any, path: str, dim: int) -> Task:
         p["x_ref"] = (_numbers(tree["x_ref"], f"{path}.x_ref", dim)
                       if "x_ref" in tree else None)
         p["steps"] = _integer(tree.get("steps", 1000), f"{path}.steps")
+        if p["steps"] < 2:
+            raise _fail(f"{path}.steps", "need at least 2 quadrature steps")
     elif kind == "wavepacket":
         _check_keys(tree, path, ("type", "center", "width", "x0"),
                     ("momentum", "time_slice"))
         spatial = dim - 1 if dim == 4 else dim
         p["center"] = _numbers(tree["center"], f"{path}.center", spatial)
-        p["width"] = _number(tree["width"], f"{path}.width")
+        p["width"] = _positive(tree["width"], f"{path}.width")
         p["x0"] = _numbers(tree["x0"], f"{path}.x0", dim)
         p["momentum"] = (_numbers(tree["momentum"], f"{path}.momentum",
                                   spatial)
@@ -513,6 +522,13 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
             gauge_transform = GaugeTransform(
                 _build_spec(g.alpha, manifold, "scenario.gauge.alpha"),
                 _build_spec(g.gamma, manifold, "scenario.gauge.gamma"))
+            if fieldref.gradient_mode == "analytic":
+                for name, spec in (("alpha", gauge_transform.alpha),
+                                   ("gamma", gauge_transform.gamma)):
+                    if not spec.has_analytic_gradient:
+                        raise ScenarioValidationError(
+                            f"scenario.gauge.{name}: no analytic gradient; "
+                            "use central-difference mode")
 
     needs_seed = [i for i, t in enumerate(scenario.tasks)
                   if t.type in RANDOMIZED_TASKS]

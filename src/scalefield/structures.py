@@ -39,7 +39,6 @@ from .exact import (
     as_complex,
     as_exact,
     parse_fraction,
-    real_fraction,
 )
 
 KINDS = ("natural", "rational", "real", "complex")
@@ -110,10 +109,6 @@ class BaseNumber:
         if isinstance(value, str):
             value = parse_fraction(value)
         return BaseNumber("rational", Fraction(value))
-
-    @staticmethod
-    def real(value) -> "BaseNumber":
-        return BaseNumber("real", real_fraction(value))
 
     @staticmethod
     def complex(re, im=0) -> "BaseNumber":

@@ -144,6 +144,27 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, value, where", [
+    (("gauge", "alpha", "width"), 0.0, "scenario.gauge.alpha.width"),
+    (("tasks", 2, "h_tau"), -0.01, "scenario.tasks[2].h_tau"),
+    (("tasks", 2, "tau_end"), 0.0, "scenario.tasks[2].tau_end"),
+    (("tasks", 1, "steps"), 1, "scenario.tasks[1].steps"),
+    (("tasks", 3, "width"), 0.0, "scenario.tasks[3].width"),
+], ids=["gaussian-width", "h_tau", "tau_end", "steps", "packet-width"])
+def test_out_of_range_demo_values_are_parse_errors(tmp_path, capsys, keys,
+                                                   value, where):
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = write(tmp_path, doc)
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"parse error: {where}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_task_failures_exit_1_but_later_tasks_still_run(tmp_path, capsys):
     doc = minimal(tasks=[
         {"type": "pathlen", "path": {"kind": "segment",

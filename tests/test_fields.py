@@ -22,16 +22,24 @@ from scalefield.fields import (
     ScalingField,
     TabulatedField,
     connection_factor,
-    covariant_derivative,
     eval_f,
     gradients,
-    structure_derivative,
+)
+from scalefield.gauge import (
+    GaugeConfig,
+    gauge_connection,
+    gauge_covariant_derivative,
 )
 from scalefield.manifold import Manifold
 
 
 def cube(lo=-2.0, hi=2.0, nodes=17, dim=3):
     return Manifold.box([(lo, hi)] * dim, nodes)
+
+
+def no_gauge(dim=3):
+    """g_r = g_i = 1 and a zero photon: the derivative of the bare field."""
+    return GaugeConfig(1.0, 1.0, 0.0, (ConstantField(0.0),) * dim)
 
 
 def test_unit_field_when_both_exponents_vanish():
@@ -144,8 +152,9 @@ def test_structure_derivative_is_gamma_plus_i_delta():
     f = ScalingField(cube(), LinearField((0.5, 0.0, 0.0)),
                      LinearField((0.0, 0.25, 0.0)))
     x = np.array([0.1, 0.1, 0.1])
-    assert structure_derivative(f, x, 0) == pytest.approx(0.5 + 0j)
-    assert structure_derivative(f, x, 1) == pytest.approx(0.25j)
+    coefficient = gauge_connection(f, no_gauge(), x)
+    assert coefficient[0] == pytest.approx(0.5 + 0j)
+    assert coefficient[1] == pytest.approx(0.25j)
 
 
 def test_covariant_derivative_of_constant_sample():
@@ -153,8 +162,9 @@ def test_covariant_derivative_of_constant_sample():
     f = ScalingField(m, LinearField((0.7, -0.2, 0.4)))
     psi = FieldSample(m, np.full(m.grid_shape, 2.0 + 0.0j))
     x = m.axis_nodes(0)[10], m.axis_nodes(1)[10], m.axis_nodes(2)[10]
+    cfg = no_gauge()
     for mu, slope in enumerate((0.7, -0.2, 0.4)):
-        out = covariant_derivative(psi, f, np.array(x), mu)
+        out = gauge_covariant_derivative(psi, f, cfg, np.array(x), mu)
         assert out == pytest.approx(2.0 * slope, rel=1e-12)
 
 
@@ -166,10 +176,11 @@ def test_covariant_derivative_kills_inverse_field_samples():
     pts = m.grid_points()
     psi0 = 1.7 - 0.4j
     psi = FieldSample(m, psi0 * np.exp(-theta.value(pts) - 1j * phi.value(pts)))
+    cfg = no_gauge()
     for node in ((32, 32, 32), (5, 50, 20), (60, 1, 33)):
         x = np.array([m.axis_nodes(a)[i] for a, i in enumerate(node)])
         for mu in range(3):
-            assert abs(covariant_derivative(psi, f, x, mu)) < 1e-8
+            assert abs(gauge_covariant_derivative(psi, f, cfg, x, mu)) < 1e-8
 
 
 def test_covariant_derivative_needs_interior_node():
@@ -178,7 +189,7 @@ def test_covariant_derivative_needs_interior_node():
     psi = FieldSample(m, np.ones(m.grid_shape))
     edge = np.array([-1.0, 0.0, 0.0])
     with pytest.raises(BoundaryPoint):
-        covariant_derivative(psi, f, edge, 0)
+        gauge_covariant_derivative(psi, f, no_gauge(), edge, 0)
 
 
 def test_tabulated_field_matches_sampled_function():

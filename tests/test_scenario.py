@@ -300,7 +300,7 @@ def test_tabulated_values_of_the_right_shape_build():
     assert isinstance(rt.field.theta, TabulatedField)
 
 
-@pytest.mark.parametrize("cell", ["x", {}])
+@pytest.mark.parametrize("cell", ["x", {}, "1.5"])
 @pytest.mark.parametrize("where", ["fields.theta", "gauge.photon[0]",
                                    "gauge.alpha", "gauge.gamma"])
 def test_non_numeric_tabulated_values_are_validation_errors(where, cell,
@@ -321,6 +321,24 @@ def test_non_numeric_tabulated_values_are_validation_errors(where, cell,
     target = tmp_path / "scenario.json"
     target.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", str(target)]) == 3
+
+
+@pytest.mark.parametrize("name", ["alpha", "gamma"])
+def test_tabulated_transform_needs_central_gradients(name, tmp_path):
+    doc = base()
+    doc["manifold"]["nodes"] = 3
+    const = {"family": "constant", "constant": 0.0}
+    doc["gauge"] = {"g_r": 1.0, "g_i": 1.0, "h_i": 0.5,
+                    "photon": [const] * 3, "alpha": const, "gamma": const}
+    doc["gauge"][name] = {"family": "tabulated",
+                          "values": [[[0.5] * 3] * 3] * 3}
+    doc["tasks"] = [{"type": "gauge-check"}]
+    invalid(doc, re.escape(f"scenario.gauge.{name}: no analytic gradient"))
+    target = tmp_path / "scenario.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(target)]) == 3
+    doc["fields"]["gradient_mode"] = "central"
+    ok(doc)
 
 
 def test_manifold_construction_errors_become_validation_errors():

@@ -1,0 +1,35 @@
+"""Smoke runs of the experiment scripts the README points to."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("script, args, header, last_line", [
+    ("convergence_study.py", (), ["method", "step", "error", "order"],
+     "wrote {csv}"),
+    ("bump_geodesic.py", ("--rivals", "5"), ["tau", "q0", "q1", "q2", "q3"],
+     "minimizer"),
+])
+def test_readme_script_runs(tmp_path, script, args, header, last_line):
+    out = tmp_path / "table.csv"
+    run = run_script(script, *args, "--csv", str(out))
+    assert run.returncode == 0, run.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == header
+    assert run.stdout.splitlines()[-1] == last_line.format(csv=out)
