@@ -61,3 +61,7 @@ class ScenarioValidationError(ScaleFieldError):
 
 class IoError(ScaleFieldError):
     """A result file could not be written."""
+
+
+class NonFiniteResult(ScaleFieldError):
+    """A task's results hold inf or NaN."""

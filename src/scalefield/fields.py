@@ -61,14 +61,17 @@ class LinearField(FieldSpec):
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients",
-                           tuple(float(c) for c in self.coefficients))
+        coefficients = tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_a", np.array(coefficients))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ np.array(self.coefficients) + self.offset
+        return pts @ self._a + self.offset
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.array(self.coefficients), pts.shape).copy()
+        out = np.empty(pts.shape)
+        out[...] = self._a
+        return out
 
     @property
     def is_constant(self) -> bool:
@@ -89,27 +92,33 @@ class GaussianField(FieldSpec):
     axes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        center = tuple(float(c) for c in self.center)
+        object.__setattr__(self, "center", center)
         if not self.width > 0:
             raise ValueError("width must be positive")
-        if self.axes is not None:
-            object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
-
-    def _mask(self, dim: int) -> np.ndarray:
         if self.axes is None:
-            return np.ones(dim)
-        mask = np.zeros(dim)
-        mask[list(self.axes)] = 1.0
-        return mask
+            mask = np.ones(len(center))
+        else:
+            object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
+            mask = np.zeros(len(center))
+            mask[list(self.axes)] = 1.0
+        object.__setattr__(self, "_center", np.array(center))
+        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_w2", self.width ** 2)
+        object.__setattr__(self, "_two_w2", 2.0 * self.width ** 2)
+
+    def _offset(self, pts: np.ndarray) -> np.ndarray:
+        return (pts - self._center) * self._mask
+
+    def _bump(self, d: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.exp(-(d * d).sum(axis=-1) / self._two_w2)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        d = (pts - np.array(self.center)) * self._mask(pts.shape[-1])
-        return self.amplitude * np.exp(-np.sum(d * d, axis=-1)
-                                       / (2.0 * self.width ** 2))
+        return self._bump(self._offset(pts))
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        d = (pts - np.array(self.center)) * self._mask(pts.shape[-1])
-        return self.value(pts)[..., None] * (-d / self.width ** 2)
+        d = self._offset(pts)
+        return self._bump(d)[..., None] * (-d / self._w2)
 
     @property
     def is_constant(self) -> bool:
@@ -123,19 +132,21 @@ class RadialPolynomial(FieldSpec):
     coefficients: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients",
-                           tuple(float(c) for c in self.coefficients))
+        coefficients = tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
+        c = np.array(coefficients)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_dc", np.polynomial.polynomial.polyder(c)
+                           if len(c) > 1 else None)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(pts, axis=-1)
-        return np.polynomial.polynomial.polyval(r, np.array(self.coefficients))
+        return np.polynomial.polynomial.polyval(r, self._c)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(pts, axis=-1)
-        coeffs = np.array(self.coefficients)
-        dg = np.polynomial.polynomial.polyval(
-            r, np.polynomial.polynomial.polyder(coeffs)) if len(coeffs) > 1 \
-            else np.zeros_like(r)
+        dg = np.polynomial.polynomial.polyval(r, self._dc) \
+            if self._dc is not None else np.zeros_like(r)
         # radial direction is undefined at the origin; the symmetric limit is 0
         safe_r = np.where(r == 0, 1.0, r)
         scale = np.where(r == 0, 0.0, dg / safe_r)
@@ -329,7 +340,7 @@ class ScalingField:
         if self.gradient_mode == "analytic":
             return spec.gradient(pts)
         h = self.gradient_step
-        if not np.all(self.manifold.margin_inside(pts, h)):
+        if not self.manifold.margin_inside(pts, h).all():
             raise BoundaryPoint(
                 f"central differences need {h} of margin on every axis"
             )

@@ -118,7 +118,7 @@ def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
             k4v = _acceleration(q + h * k3q, k4q, fieldref, drag, eta)
             q_next = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
             v_next = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if not np.all(m.contains(q_next)):
+            if not m.contains(q_next):
                 raise OutOfBounds("stepped outside the grid")
         except (OutOfBounds, BoundaryPoint):
             # central-difference gradients shrink the usable region by their

@@ -45,6 +45,8 @@ class Manifold:
                 )
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "_lo", np.array([lo for lo, _ in bounds]))
+        object.__setattr__(self, "_hi", np.array([hi for _, hi in bounds]))
 
     @staticmethod
     def box(bounds: Sequence[Sequence[float]], nodes: int) -> "Manifold":
@@ -91,17 +93,18 @@ class Manifold:
             )
         return pts
 
+    def _within(self, pts: np.ndarray) -> np.ndarray:
+        """Per-coordinate bounds test, shape (..., dim)."""
+        return (pts >= self._lo) & (pts <= self._hi)
+
     def contains(self, x) -> np.ndarray:
-        pts = self.as_points(x)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        return self._within(self.as_points(x)).all(axis=-1)
 
     def require_inside(self, x, what: str = "point") -> np.ndarray:
         pts = self.as_points(x)
-        ok = self.contains(pts)
-        if not np.all(ok):
-            bad = pts if pts.ndim == 1 else pts[~ok][0]
+        within = self._within(pts)
+        if not within.all():
+            bad = pts if pts.ndim == 1 else pts[~within.all(axis=-1)][0]
             raise OutOfBounds(f"{what} {np.asarray(bad).tolist()} outside bounds")
         return pts
 
@@ -112,10 +115,8 @@ class Manifold:
         linspace, so interior nodes always qualify at margin = spacing.
         """
         pts = self.as_points(x)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
         m = margin - 1e-12 * (1.0 + abs(margin))
-        return np.all((pts >= lo + m) & (pts <= hi - m), axis=-1)
+        return ((pts >= self._lo + m) & (pts <= self._hi - m)).all(axis=-1)
 
     def node_index(self, x) -> Tuple[int, ...]:
         """Index of the grid node at ``x``; rejects points off the lattice."""

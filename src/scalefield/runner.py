@@ -6,6 +6,10 @@ echoed, so a run is self-describing), and headline scalars.  All file
 content is deterministic for a fixed scenario and seed: no timestamps, no
 absolute paths, sorted JSON keys, fixed float formatting.
 
+A task whose results hold inf or NaN fails and names the first such key;
+numpy's floating-point warnings inside a task are silenced, so the failure
+entry is the one report of an overflow.  summary.json is strict JSON.
+
 Exit codes: 0 all tasks ok, 1 a task failed or the output directory or
 summary.json could not be written ("error: cannot write ..." on stderr),
 2 parse error, 3 validation error.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -25,6 +30,7 @@ import numpy as np
 from .axioms import axiom_suite
 from .errors import (
     IoError,
+    NonFiniteResult,
     ScaleFieldError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -73,6 +79,24 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _non_finite(value: Any, key: str) -> Optional[str]:
+    """Dotted key and value of the first inf or NaN in a ``_jsonable`` tree."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{key}: {value}"
+    if isinstance(value, dict):
+        children = [(f"{key}.{k}" if key else k, v)
+                    for k, v in sorted(value.items())]
+    elif isinstance(value, list):
+        children = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return None
+    for child_key, child in children:
+        bad = _non_finite(child, child_key)
+        if bad is not None:
+            return bad
+    return None
+
+
 def _outcome(spec: OutcomeSpec) -> Outcome:
     if spec.kind == "complex":
         number = BaseNumber.complex(*spec.payload)
@@ -110,8 +134,8 @@ def _run_geodesic(task: Task, rt: RuntimeScenario, seed: Optional[int]):
     dim = rt.manifold.dimension
     header = ("tau", *(f"q{m}" for m in range(dim)),
               *(f"v{m}" for m in range(dim)))
-    rows = [(float(tr.taus[k]), *map(float, tr.positions[k]),
-             *map(float, tr.velocities[k])) for k in range(len(tr))]
+    rows = [(tau, *q, *v) for tau, q, v in zip(
+        tr.taus.tolist(), tr.positions.tolist(), tr.velocities.tolist())]
     results = {
         "left_domain": tr.left_domain,
         "steps": len(tr) - 1,
@@ -285,7 +309,13 @@ def run_scenario(path: str, out: Optional[str] = None,
             "params": _jsonable(task.params),
         }
         try:
-            header, rows, results = _HANDLERS[task.type](task, rt, task_seed)
+            with np.errstate(all="ignore"):
+                header, rows, results = _HANDLERS[task.type](task, rt,
+                                                             task_seed)
+            results_tree = _jsonable(results)
+            bad = _non_finite(results_tree, "")
+            if bad is not None:
+                raise NonFiniteResult(f"non-finite result {bad}")
             write_text(os.path.join(out_dir, csv_name),
                        render_csv(header, rows))
             ok = results.get("all_passed", True)
@@ -293,7 +323,7 @@ def run_scenario(path: str, out: Optional[str] = None,
             if not ok:
                 entry["error"] = "axiom failures: " + ", ".join(
                     results["failed_axioms"])
-            entry["results"] = _jsonable(results)
+            entry["results"] = results_tree
         except (ScaleFieldError, ValueError, ZeroDivisionError) as err:
             entry["status"] = "failed"
             entry["error"] = str(err)
@@ -313,7 +343,8 @@ def run_scenario(path: str, out: Optional[str] = None,
     }
     try:
         write_text(os.path.join(out_dir, "summary.json"),
-                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                   json.dumps(summary, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
     except IoError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TASK_FAILURE

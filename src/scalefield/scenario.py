@@ -44,6 +44,8 @@ FIELD_FAMILIES = ("constant", "linear", "gaussian", "radial_polynomial",
 TASK_TYPES = ("axioms", "geodesic", "pathlen", "wavepacket", "gauge-check",
               "compare")
 RANDOMIZED_TASKS = ("axioms",)
+# most RK4 steps (round(tau_end / h_tau)) one geodesic task may ask for
+MAX_GEODESIC_STEPS = 1_000_000
 PATH_KINDS = ("segment", "polyline")
 SIGNATURES = {3: "euclidean", 4: "minkowski"}
 
@@ -544,6 +546,17 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
                 raise ScenarioValidationError(
                     f"{label}: gauge-check needs a gauge block with an "
                     "alpha/gamma transform split")
+        if task.type == "geodesic":
+            p = task.params
+            if not manifold.contains(np.array(p["position"])):
+                raise ScenarioValidationError(
+                    f"{label}.position: point {list(p['position'])} "
+                    "outside bounds")
+            steps = p["tau_end"] / p["h_tau"]
+            if np.isinf(steps) or round(steps) > MAX_GEODESIC_STEPS:
+                raise ScenarioValidationError(
+                    f"{label}.h_tau: tau_end / h_tau = {steps:.6g} steps, "
+                    f"more than the limit of {MAX_GEODESIC_STEPS}")
         if task.type == "wavepacket":
             if manifold.dimension == 4 and task.params["time_slice"] is None:
                 raise ScenarioValidationError(

@@ -215,7 +215,8 @@ def relabel(v: Union[ScaledValue, Scalar], t: FactorLike, s: FactorLike,
     Composing relabel(t -> s') with relabel(s' -> s) equals the direct map,
     and relabel(v, t, t) is the identity.
     """
-    tv, sv = _factor_value(t), _factor_value(s)
+    fs = s if isinstance(s, ScalingFactor) else ScalingFactor(s)
+    tv, sv = _factor_value(t), fs.value
     if isinstance(v, ScaledValue):
         kind = v.structure.kind
         if v.structure.level_s.value != tv:
@@ -225,7 +226,7 @@ def relabel(v: Union[ScaledValue, Scalar], t: FactorLike, s: FactorLike,
         raw = v.value
     else:
         raw = v
-    return ScaledValue(structure(kind, sv, sv), tv / sv * as_exact(raw))
+    return ScaledValue(ScaledStructure(kind, fs, fs), tv / sv * as_exact(raw))
 
 
 def group_action(t: FactorLike, level: FactorLike) -> ScalingFactor:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,50 @@ def test_out_of_range_demo_values_are_parse_errors(tmp_path, capsys, keys,
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
     assert f"parse error: {where}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("changes, where", [
+    ({"position": [0.0, 5.0, 0.0, 0.0]}, "scenario.tasks[2].position"),
+    ({"h_tau": 1e-9}, "scenario.tasks[2].h_tau"),
+    ({"tau_end": 2.0, "h_tau": 1.9e-6}, "scenario.tasks[2].h_tau"),
+    ({"tau_end": 1e300, "h_tau": 1e-300}, "scenario.tasks[2].h_tau"),
+], ids=["start-outside", "tiny-step", "just-over-the-limit", "ratio-overflows"])
+def test_geodesics_run_would_refuse_or_not_finish_are_validation_errors(
+        tmp_path, capsys, changes, where):
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc["tasks"][2].update(changes)
+    path = write(tmp_path, doc)
+    # validate first: at a step limit that does not hold, run would not end
+    assert main(["validate", path]) == 3
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+    assert f"validation error: {where}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_result_fails_its_task_and_summary_is_strict_json(
+        tmp_path, capsys):
+    doc = minimal(tasks=[
+        {"type": "pathlen", "path": {"kind": "segment",
+                                     "start": [-2.0, 0.0, 0.0],
+                                     "end": [2.0, 0.0, 0.0]}}])
+    doc["fields"]["theta"]["coefficients"] = [800.0, 0.0, 0.0]
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", write(tmp_path, doc), "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                         parse_constant=refuse)
+    entry = summary["tasks"][0]
+    assert summary["status"] == "failed"
+    assert entry["status"] == "failed"
+    assert entry["error"] == "non-finite result scaled_length: inf"
+    assert "results" not in entry
+    assert not (out / "00_pathlen.csv").exists()
+    assert "scaled_length" in capsys.readouterr().err
 
 
 def test_task_failures_exit_1_but_later_tasks_still_run(tmp_path, capsys):
