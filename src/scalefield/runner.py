@@ -79,22 +79,13 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _non_finite(value: Any, key: str) -> Optional[str]:
-    """Dotted key and value of the first inf or NaN in a ``_jsonable`` tree."""
+def _finite(value: Any) -> bool:
+    """False if a ``_jsonable`` value is or holds inf or NaN."""
     if isinstance(value, float):
-        return None if math.isfinite(value) else f"{key}: {value}"
-    if isinstance(value, dict):
-        children = [(f"{key}.{k}" if key else k, v)
-                    for k, v in sorted(value.items())]
-    elif isinstance(value, list):
-        children = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
-    else:
-        return None
-    for child_key, child in children:
-        bad = _non_finite(child, child_key)
-        if bad is not None:
-            return bad
-    return None
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return True
 
 
 def _outcome(spec: OutcomeSpec) -> Outcome:
@@ -134,8 +125,7 @@ def _run_geodesic(task: Task, rt: RuntimeScenario, seed: Optional[int]):
     dim = rt.manifold.dimension
     header = ("tau", *(f"q{m}" for m in range(dim)),
               *(f"v{m}" for m in range(dim)))
-    rows = [(tau, *q, *v) for tau, q, v in zip(
-        tr.taus.tolist(), tr.positions.tolist(), tr.velocities.tolist())]
+    rows = np.column_stack((tr.taus, tr.positions, tr.velocities)).tolist()
     results = {
         "left_domain": tr.left_domain,
         "steps": len(tr) - 1,
@@ -313,9 +303,10 @@ def run_scenario(path: str, out: Optional[str] = None,
                 header, rows, results = _HANDLERS[task.type](task, rt,
                                                              task_seed)
             results_tree = _jsonable(results)
-            bad = _non_finite(results_tree, "")
-            if bad is not None:
-                raise NonFiniteResult(f"non-finite result {bad}")
+            bad = [k for k, v in sorted(results_tree.items())
+                   if not _finite(v)]
+            if bad:
+                raise NonFiniteResult(f"non-finite result {bad[0]}")
             write_text(os.path.join(out_dir, csv_name),
                        render_csv(header, rows))
             ok = results.get("all_passed", True)
