@@ -105,13 +105,12 @@ class GaussianField(FieldSpec):
         object.__setattr__(self, "_center", np.array(center))
         object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "_w2", self.width ** 2)
-        object.__setattr__(self, "_two_w2", 2.0 * self.width ** 2)
 
     def _offset(self, pts: np.ndarray) -> np.ndarray:
         return (pts - self._center) * self._mask
 
     def _bump(self, d: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-(d * d).sum(axis=-1) / self._two_w2)
+        return self.amplitude * np.exp(-(d * d).sum(axis=-1) / (2.0 * self._w2))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self._bump(self._offset(pts))
