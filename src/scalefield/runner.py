@@ -44,7 +44,6 @@ from .outcomes import Outcome, compare_outcomes
 from .packets import gaussian_packet, packet_norm_squared, scale_wave_packet
 from .paths import PolylinePath, SegmentPath, local_path_length, scaled_path_length
 from .scenario import (
-    OutcomeSpec,
     RuntimeScenario,
     Scenario,
     Task,
@@ -88,12 +87,12 @@ def _finite(value: Any) -> bool:
     return True
 
 
-def _outcome(spec: OutcomeSpec) -> Outcome:
-    if spec.kind == "complex":
-        number = BaseNumber.complex(*spec.payload)
+def _outcome(spec: Dict[str, Any]) -> Outcome:
+    if spec["kind"] == "complex":
+        number = BaseNumber.complex(*spec["payload"])
     else:
-        number = BaseNumber(spec.kind, spec.payload)
-    return Outcome(np.array(spec.location), number)
+        number = BaseNumber(spec["kind"], spec["payload"])
+    return Outcome(np.array(spec["location"]), number)
 
 
 def _complex_cells(z: Optional[complex]) -> Tuple[Optional[float], Optional[float]]:
@@ -209,8 +208,8 @@ def _run_compare(task: Task, rt: RuntimeScenario, seed: Optional[int]):
         "mismatch_factor": report.mismatch_factor,
         "values_match": report.values_match,
         "field_ratio_check": complex(
-            eval_f(rt.field, np.array(p["target"].location))
-            / eval_f(rt.field, np.array(p["reference"].location)))
+            eval_f(rt.field, np.array(p["target"]["location"]))
+            / eval_f(rt.field, np.array(p["reference"]["location"])))
         if p["mode"] == "parallel-transform" else None,
     }
     return header, rows, results

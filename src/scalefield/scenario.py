@@ -8,6 +8,12 @@ field by dotted path, and bad JSON reports the source line.  Parse errors
 are structural (types, unknown keys, unknown family or task names);
 validation errors are semantic (cross-field requirements such as a seed for
 randomized tasks or a gauge block for gauge tasks).
+
+Every JSON object is read by ``_keyed`` against a schema that maps each key
+to a parser and a default, ``REQUIRED`` for a mandatory key.  ``TASKS`` is
+the one table of task types.  A row holds the task's key schema and its
+work estimate, which validation holds to a budget; keys read by the
+``_point`` parser hold points that validation requires inside the bounds.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,15 +46,14 @@ from .gauge import GaugeConfig, GaugeTransform
 from .manifold import Manifold
 from .structures import KINDS
 
-FIELD_FAMILIES = ("constant", "linear", "gaussian", "radial_polynomial",
-                  "combination", "tabulated")
-TASK_TYPES = ("axioms", "geodesic", "pathlen", "wavepacket", "gauge-check",
-              "compare")
 RANDOMIZED_TASKS = ("axioms",)
 # most RK4 steps (round(tau_end / h_tau)) one geodesic task may ask for
 MAX_GEODESIC_STEPS = 1_000_000
-PATH_KINDS = ("segment", "polyline")
 SIGNATURES = {3: "euclidean", 4: "minkowski"}
+REQUIRED = object()  # the default of a mandatory key
+
+Parser = Callable[[Any, str], Any]
+Schema = Dict[str, Tuple[Parser, Any]]
 
 
 # -- strict tree walking ------------------------------------------------------
@@ -57,62 +63,77 @@ def _fail(path: str, message: str) -> "ScenarioParseError":
     return ScenarioParseError(f"{path}: {message}")
 
 
-def _mapping(node: Any, path: str) -> Dict[str, Any]:
-    if not isinstance(node, dict):
-        raise _fail(path, f"expected an object, got {type(node).__name__}")
+def _typed(node: Any, path: str, kind: Any, name: str) -> Any:
+    if isinstance(node, bool) or not isinstance(node, kind):
+        raise _fail(path, f"expected {name}, got {type(node).__name__}")
     return node
 
 
-def _check_keys(node: Dict[str, Any], path: str, required: Tuple[str, ...],
-                optional: Tuple[str, ...] = ()) -> None:
-    for key in required:
-        if key not in node:
+_mapping = partial(_typed, kind=dict, name="an object")
+_string = partial(_typed, kind=str, name="a string")
+_array = partial(_typed, kind=list, name="an array")
+
+
+def _keyed(node: Any, path: str, schema: Schema) -> Dict[str, Any]:
+    """Parse the object ``node`` key by key; an absent key takes its default.
+
+    Parsers run in schema order, so one may depend on the raw value of a key
+    listed before it: that key's own parser has accepted it by then.
+    """
+    tree = _mapping(node, path)
+    for key, (_, default) in schema.items():
+        if default is REQUIRED and key not in tree:
             raise _fail(path, f"missing required key {key!r}")
-    allowed = set(required) | set(optional)
-    for key in node:
-        if key not in allowed:
+    for key in tree:
+        if key not in schema:
             raise _fail(f"{path}.{key}", "unknown key")
+    return {key: parse(tree[key], f"{path}.{key}") if key in tree else default
+            for key, (parse, default) in schema.items()}
 
 
-def _number(node: Any, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise _fail(path, f"expected a number, got {type(node).__name__}")
-    if not np.isfinite(node):
+def _tagged(node: Any, path: str, tag: str,
+            schemas: Dict[str, Callable[[int], Schema]], dim: int,
+            ) -> Dict[str, Any]:
+    """``_keyed`` on an object whose ``tag`` value picks the schema."""
+    tree = _mapping(node, path)
+    if tag not in tree:
+        raise _fail(path, f"missing required key {tag!r}")
+    kind = _choice(tree[tag], f"{path}.{tag}", tuple(schemas))
+    return _keyed(tree, path, {tag: (_string, REQUIRED), **schemas[kind](dim)})
+
+
+def _number(node: Any, path: str, positive: bool = False) -> float:
+    if not np.isfinite(_typed(node, path, (int, float), "a number")):
         raise _fail(path, "number must be finite")
+    if positive and not node > 0:
+        raise _fail(path, "must be positive")
     return float(node)
 
 
-def _positive(node: Any, path: str) -> float:
-    value = _number(node, path)
-    if not value > 0:
-        raise _fail(path, "must be positive")
-    return value
+_positive = partial(_number, positive=True)
 
 
-def _integer(node: Any, path: str) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise _fail(path, f"expected an integer, got {type(node).__name__}")
+def _integer(node: Any, path: str, least: float = -np.inf,
+             most: float = np.inf, why: str = "") -> int:
+    if not least <= _typed(node, path, int, "an integer") <= most:
+        raise _fail(path, why)
     return node
 
 
-def _string(node: Any, path: str) -> str:
-    if not isinstance(node, str):
-        raise _fail(path, f"expected a string, got {type(node).__name__}")
-    return node
-
-
-def _array(node: Any, path: str) -> List[Any]:
-    if not isinstance(node, list):
-        raise _fail(path, f"expected an array, got {type(node).__name__}")
-    return node
-
-
-def _numbers(node: Any, path: str, length: Optional[int] = None,
-             ) -> Tuple[float, ...]:
+def _items(node: Any, path: str, parse: Parser, count: Optional[int] = None,
+           what: str = "", kind: type = tuple) -> Tuple[Any, ...]:
     items = _array(node, path)
-    if length is not None and len(items) != length:
-        raise _fail(path, f"expected {length} numbers, got {len(items)}")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(items))
+    if count is not None and len(items) != count:
+        raise _fail(path, f"expected {count} {what}, got {len(items)}")
+    return kind(parse(v, f"{path}[{i}]") for i, v in enumerate(items))
+
+
+class Point(tuple):
+    """Coordinates that validation requires inside the manifold bounds."""
+
+
+_numbers = partial(_items, parse=_number, what="numbers")
+_point = partial(_numbers, kind=Point)
 
 
 def _choice(node: Any, path: str, allowed: Tuple[str, ...]) -> str:
@@ -120,6 +141,10 @@ def _choice(node: Any, path: str, allowed: Tuple[str, ...]) -> str:
     if value not in allowed:
         raise _fail(path, f"expected one of {', '.join(allowed)}; got {value!r}")
     return value
+
+
+def _one_of(*allowed: str) -> Parser:
+    return partial(_choice, allowed=allowed)
 
 
 def _exact(node: Any, path: str) -> Fraction:
@@ -139,65 +164,52 @@ def _exact(node: Any, path: str) -> Fraction:
 # -- field specs --------------------------------------------------------------
 
 
-def build_field_spec(node: Any, path: str, dimension: int) -> FieldSpec:
-    tree = _mapping(node, path)
-    if "family" not in tree:
-        raise _fail(path, "missing required key 'family'")
-    family = _choice(tree["family"], f"{path}.family", FIELD_FAMILIES)
-    if family == "constant":
-        _check_keys(tree, path, ("family", "constant"))
-        return ConstantField(_number(tree["constant"], f"{path}.constant"))
-    if family == "linear":
-        _check_keys(tree, path, ("family", "coefficients"), ("offset",))
-        coeffs = _numbers(tree["coefficients"], f"{path}.coefficients",
-                          dimension)
-        offset = _number(tree.get("offset", 0.0), f"{path}.offset")
-        return LinearField(coeffs, offset)
-    if family == "gaussian":
-        _check_keys(tree, path, ("family", "amplitude", "center", "width"),
-                    ("axes",))
-        axes = None
-        if "axes" in tree:
-            axes = tuple(_integer(a, f"{path}.axes[{i}]")
-                         for i, a in enumerate(_array(tree["axes"],
-                                                      f"{path}.axes")))
-            for i, a in enumerate(axes):
-                if not 0 <= a < dimension:
-                    raise _fail(f"{path}.axes[{i}]",
-                                f"axis {a} outside 0..{dimension - 1}")
-        return GaussianField(
-            _number(tree["amplitude"], f"{path}.amplitude"),
-            _numbers(tree["center"], f"{path}.center", dimension),
-            _positive(tree["width"], f"{path}.width"),
-            axes=axes,
-        )
-    if family == "radial_polynomial":
-        _check_keys(tree, path, ("family", "coefficients"))
-        return RadialPolynomial(_numbers(tree["coefficients"],
-                                         f"{path}.coefficients"))
-    if family == "combination":
-        _check_keys(tree, path, ("family", "terms"))
-        terms = []
-        for i, raw in enumerate(_array(tree["terms"], f"{path}.terms")):
-            term = _mapping(raw, f"{path}.terms[{i}]")
-            _check_keys(term, f"{path}.terms[{i}]", ("weight", "spec"))
-            terms.append((
-                _number(term["weight"], f"{path}.terms[{i}].weight"),
-                build_field_spec(term["spec"], f"{path}.terms[{i}].spec",
-                                 dimension),
-            ))
-        return CombinationField(tuple(terms))
-    # tabulated: the value grid is checked against the manifold at build time
-    _check_keys(tree, path, ("family", "values"))
-    _array(tree["values"], f"{path}.values")
-    return _TabulatedStub(tree["values"])
-
-
 @dataclass(frozen=True)
 class _TabulatedStub:
-    """Placeholder until the manifold is known; built in build_runtime."""
+    """Placeholder until the manifold is known; built in validate_scenario."""
 
-    raw_values: Any
+    values: Any
+
+
+def _axes(node: Any, path: str, dim: int) -> Tuple[int, ...]:
+    axes = _items(node, path, _integer)
+    for i, a in enumerate(axes):
+        if not 0 <= a < dim:
+            raise _fail(f"{path}[{i}]", f"axis {a} outside 0..{dim - 1}")
+    return axes
+
+
+def _terms(node: Any, path: str, dim: int) -> Tuple[Tuple[float, FieldSpec], ...]:
+    term = {"weight": (_number, REQUIRED),
+            "spec": (partial(build_field_spec, dimension=dim), REQUIRED)}
+    return tuple((t["weight"], t["spec"])
+                 for t in _items(node, path, partial(_keyed, schema=term)))
+
+
+# family: (spec class, key schema on a grid of dimension dim)
+_FAMILIES = {
+    "constant": (ConstantField, lambda dim: {"constant": (_number, REQUIRED)}),
+    "linear": (LinearField, lambda dim: {
+        "coefficients": (partial(_numbers, count=dim), REQUIRED),
+        "offset": (_number, 0.0)}),
+    "gaussian": (GaussianField, lambda dim: {
+        "amplitude": (_number, REQUIRED),
+        "center": (partial(_numbers, count=dim), REQUIRED),
+        "width": (_positive, REQUIRED),
+        "axes": (partial(_axes, dim=dim), None)}),
+    "radial_polynomial": (RadialPolynomial,
+                          lambda dim: {"coefficients": (_numbers, REQUIRED)}),
+    "combination": (CombinationField,
+                    lambda dim: {"terms": (partial(_terms, dim=dim), REQUIRED)}),
+    # the value grid is checked against the manifold at build time
+    "tabulated": (_TabulatedStub, lambda dim: {"values": (_array, REQUIRED)}),
+}
+_FAMILY_KEYS = {name: keys for name, (_, keys) in _FAMILIES.items()}
+
+
+def build_field_spec(node: Any, path: str, dimension: int) -> FieldSpec:
+    params = _tagged(node, path, "family", _FAMILY_KEYS, dimension)
+    return _FAMILIES[params.pop("family")][0](**params)
 
 
 # -- parsed blocks ------------------------------------------------------------
@@ -231,13 +243,6 @@ class GaugeBlock:
 
 
 @dataclass(frozen=True)
-class OutcomeSpec:
-    location: Tuple[float, ...]
-    kind: str
-    payload: Any
-
-
-@dataclass(frozen=True)
 class Task:
     type: str
     params: Dict[str, Any]
@@ -256,174 +261,139 @@ class Scenario:
 # -- block parsers ------------------------------------------------------------
 
 
+def _spacing(node: Any, path: str, dim: int) -> Tuple[float, ...]:
+    if isinstance(node, list):
+        return _numbers(node, path, count=dim)
+    return (_number(node, path),) * dim
+
+
 def _parse_manifold(node: Any, path: str) -> ManifoldBlock:
-    tree = _mapping(node, path)
-    _check_keys(tree, path, ("dimension", "bounds"),
-                ("spacing", "nodes", "signature"))
-    dim = _integer(tree["dimension"], f"{path}.dimension")
-    if dim not in SIGNATURES:
-        raise _fail(f"{path}.dimension", "must be 3 or 4")
-    raw_bounds = _array(tree["bounds"], f"{path}.bounds")
-    if len(raw_bounds) != dim:
-        raise _fail(f"{path}.bounds", f"expected {dim} [lo, hi] pairs")
-    bounds = tuple(
-        tuple(_numbers(pair, f"{path}.bounds[{i}]", 2))
-        for i, pair in enumerate(raw_bounds)
-    )
-    if ("spacing" in tree) == ("nodes" in tree):
+    dim = _mapping(node, path).get("dimension")
+    signature = SIGNATURES.get(dim) if isinstance(dim, int) else None
+    block = ManifoldBlock(**_keyed(node, path, {
+        "dimension": (partial(_integer, least=3, most=4,
+                              why="must be 3 or 4"), REQUIRED),
+        "bounds": (partial(_items, parse=partial(_numbers, count=2),
+                           count=dim, what="[lo, hi] pairs"), REQUIRED),
+        "spacing": (partial(_spacing, dim=dim), None),
+        "nodes": (partial(_integer, least=2,
+                          why="need at least 2 nodes per axis"), None),
+        "signature": (_one_of("euclidean", "minkowski"), signature),
+    }))
+    if (block.spacing is None) == (block.nodes is None):
         raise _fail(path, "give exactly one of 'spacing' or 'nodes'")
-    spacing = nodes = None
-    if "spacing" in tree:
-        raw = tree["spacing"]
-        if isinstance(raw, list):
-            spacing = _numbers(raw, f"{path}.spacing", dim)
-        else:
-            spacing = (_number(raw, f"{path}.spacing"),) * dim
-    else:
-        nodes = _integer(tree["nodes"], f"{path}.nodes")
-        if nodes < 2:
-            raise _fail(f"{path}.nodes", "need at least 2 nodes per axis")
-    signature = _choice(tree.get("signature", SIGNATURES[dim]),
-                        f"{path}.signature", ("euclidean", "minkowski"))
-    if signature != SIGNATURES[dim]:
+    if block.signature != SIGNATURES[dim]:
         raise _fail(f"{path}.signature",
                     f"dimension {dim} carries the {SIGNATURES[dim]} signature")
-    return ManifoldBlock(dim, bounds, spacing, nodes, signature)
+    return block
 
 
 def _parse_fields(node: Any, path: str, dim: int) -> FieldsBlock:
-    tree = _mapping(node, path)
-    _check_keys(tree, path, ("theta",), ("phi", "gradient_mode",
-                                         "gradient_step"))
-    theta = build_field_spec(tree["theta"], f"{path}.theta", dim)
-    phi: FieldSpec = ConstantField(0.0)
-    if "phi" in tree:
-        phi = build_field_spec(tree["phi"], f"{path}.phi", dim)
-    mode = _choice(tree.get("gradient_mode", "analytic"),
-                   f"{path}.gradient_mode", ("analytic", "central"))
-    step = None
-    if "gradient_step" in tree:
-        step = _number(tree["gradient_step"], f"{path}.gradient_step")
-    return FieldsBlock(theta, phi, mode, step)
+    spec = partial(build_field_spec, dimension=dim)
+    return FieldsBlock(**_keyed(node, path, {
+        "theta": (spec, REQUIRED),
+        "phi": (spec, ConstantField(0.0)),
+        "gradient_mode": (_one_of("analytic", "central"), "analytic"),
+        "gradient_step": (_number, None),
+    }))
 
 
 def _parse_gauge(node: Any, path: str, dim: int) -> GaugeBlock:
-    tree = _mapping(node, path)
-    _check_keys(tree, path, ("g_r", "g_i", "h_i", "photon"),
-                ("alpha", "gamma"))
-    raw_photon = _array(tree["photon"], f"{path}.photon")
-    if len(raw_photon) != dim:
-        raise _fail(f"{path}.photon", f"expected {dim} component specs")
-    photon = tuple(
-        build_field_spec(spec, f"{path}.photon[{i}]", dim)
-        for i, spec in enumerate(raw_photon)
-    )
-    alpha = gamma = None
-    if "alpha" in tree:
-        alpha = build_field_spec(tree["alpha"], f"{path}.alpha", dim)
-    if "gamma" in tree:
-        gamma = build_field_spec(tree["gamma"], f"{path}.gamma", dim)
-    return GaugeBlock(_number(tree["g_r"], f"{path}.g_r"),
-                      _number(tree["g_i"], f"{path}.g_i"),
-                      _number(tree["h_i"], f"{path}.h_i"),
-                      photon, alpha, gamma)
+    spec = partial(build_field_spec, dimension=dim)
+    return GaugeBlock(**_keyed(node, path, {
+        "g_r": (_number, REQUIRED),
+        "g_i": (_number, REQUIRED),
+        "h_i": (_number, REQUIRED),
+        "photon": (partial(_items, parse=spec, count=dim,
+                           what="component specs"), REQUIRED),
+        "alpha": (spec, None),
+        "gamma": (spec, None),
+    }))
 
 
-def _parse_outcome(node: Any, path: str, dim: int) -> OutcomeSpec:
-    tree = _mapping(node, path)
-    _check_keys(tree, path, ("location", "kind", "payload"))
-    kind = _choice(tree["kind"], f"{path}.kind", tuple(KINDS))
-    payload: Any
-    if kind == "complex":
-        parts = _array(tree["payload"], f"{path}.payload")
-        if len(parts) != 2:
-            raise _fail(f"{path}.payload", "complex payload is [re, im]")
-        payload = (_exact(parts[0], f"{path}.payload[0]"),
-                   _exact(parts[1], f"{path}.payload[1]"))
-    else:
-        payload = _exact(tree["payload"], f"{path}.payload")
-    return OutcomeSpec(_numbers(tree["location"], f"{path}.location", dim),
-                       kind, payload)
+def _parse_outcome(node: Any, path: str, dim: int) -> Dict[str, Any]:
+    pair = partial(_items, parse=_exact, count=2, what="exact parts [re, im]")
+    kind = _mapping(node, path).get("kind")
+    return _keyed(node, path, {
+        "location": (partial(_numbers, count=dim), REQUIRED),
+        "kind": (_one_of(*KINDS), REQUIRED),
+        "payload": (pair if kind == "complex" else _exact, REQUIRED),
+    })
 
 
-def _parse_path_spec(node: Any, path: str, dim: int) -> Dict[str, Any]:
-    tree = _mapping(node, path)
-    if "kind" not in tree:
-        raise _fail(path, "missing required key 'kind'")
-    kind = _choice(tree["kind"], f"{path}.kind", PATH_KINDS)
-    if kind == "segment":
-        _check_keys(tree, path, ("kind", "start", "end"))
-        return {"kind": kind,
-                "start": _numbers(tree["start"], f"{path}.start", dim),
-                "end": _numbers(tree["end"], f"{path}.end", dim)}
-    _check_keys(tree, path, ("kind", "vertices"))
-    vertices = _array(tree["vertices"], f"{path}.vertices")
-    if len(vertices) < 2:
-        raise _fail(f"{path}.vertices", "need at least two vertices")
-    return {"kind": kind,
-            "vertices": tuple(_numbers(v, f"{path}.vertices[{i}]", dim)
-                              for i, v in enumerate(vertices))}
+def _vertices(node: Any, path: str, dim: int) -> Tuple[Tuple[float, ...], ...]:
+    if len(_array(node, path)) < 2:
+        raise _fail(path, "need at least two vertices")
+    return _items(node, path, partial(_numbers, count=dim))
 
 
-def _parse_task(node: Any, path: str, dim: int) -> Task:
-    tree = _mapping(node, path)
-    if "type" not in tree:
-        raise _fail(path, "missing required key 'type'")
-    kind = _choice(tree["type"], f"{path}.type", TASK_TYPES)
-    p: Dict[str, Any] = {}
-    if kind == "axioms":
-        _check_keys(tree, path, ("type", "kind", "t", "s"),
-                    ("samples", "stride"))
-        p["kind"] = _choice(tree["kind"], f"{path}.kind", tuple(KINDS))
-        p["t"] = _exact(tree["t"], f"{path}.t")
-        p["s"] = _exact(tree["s"], f"{path}.s")
-        p["samples"] = _integer(tree.get("samples", 100), f"{path}.samples")
-        p["stride"] = (_integer(tree["stride"], f"{path}.stride")
-                       if "stride" in tree else None)
-    elif kind == "geodesic":
-        _check_keys(tree, path, ("type", "position", "velocity", "tau_end"),
-                    ("h_tau", "drag_contraction"))
-        p["position"] = _numbers(tree["position"], f"{path}.position", dim)
-        p["velocity"] = _numbers(tree["velocity"], f"{path}.velocity", dim)
-        p["tau_end"] = _positive(tree["tau_end"], f"{path}.tau_end")
-        p["h_tau"] = _positive(tree.get("h_tau", 1e-3), f"{path}.h_tau")
-        p["drag_contraction"] = _choice(
-            tree.get("drag_contraction", "euclidean"),
-            f"{path}.drag_contraction", ("euclidean", "minkowski"))
-    elif kind == "pathlen":
-        _check_keys(tree, path, ("type", "path"), ("x_ref", "steps"))
-        p["path"] = _parse_path_spec(tree["path"], f"{path}.path", dim)
-        p["x_ref"] = (_numbers(tree["x_ref"], f"{path}.x_ref", dim)
-                      if "x_ref" in tree else None)
-        p["steps"] = _integer(tree.get("steps", 1000), f"{path}.steps")
-        if p["steps"] < 2:
-            raise _fail(f"{path}.steps", "need at least 2 quadrature steps")
-    elif kind == "wavepacket":
-        _check_keys(tree, path, ("type", "center", "width", "x0"),
-                    ("momentum", "time_slice"))
-        spatial = dim - 1 if dim == 4 else dim
-        p["center"] = _numbers(tree["center"], f"{path}.center", spatial)
-        p["width"] = _positive(tree["width"], f"{path}.width")
-        p["x0"] = _numbers(tree["x0"], f"{path}.x0", dim)
-        p["momentum"] = (_numbers(tree["momentum"], f"{path}.momentum",
-                                  spatial)
-                         if "momentum" in tree else None)
-        p["time_slice"] = (_number(tree["time_slice"], f"{path}.time_slice")
-                           if "time_slice" in tree else None)
-    elif kind == "gauge-check":
-        _check_keys(tree, path, ("type",), ("stride",))
-        p["stride"] = _integer(tree.get("stride", 1), f"{path}.stride")
-        if p["stride"] < 1:
-            raise _fail(f"{path}.stride", "must be at least 1")
-    else:
-        _check_keys(tree, path, ("type", "reference", "target"), ("mode",))
-        p["reference"] = _parse_outcome(tree["reference"],
-                                        f"{path}.reference", dim)
-        p["target"] = _parse_outcome(tree["target"], f"{path}.target", dim)
-        p["mode"] = _choice(tree.get("mode", "physical-transmission"),
-                            f"{path}.mode",
-                            ("physical-transmission", "parallel-transform"))
-    return Task(kind, p)
+_PATHS: Dict[str, Callable[[int], Schema]] = {
+    "segment": lambda dim: {"start": (partial(_numbers, count=dim), REQUIRED),
+                            "end": (partial(_numbers, count=dim), REQUIRED)},
+    "polyline": lambda dim: {"vertices": (partial(_vertices, dim=dim),
+                                          REQUIRED)},
+}
+
+
+class TaskType(NamedTuple):
+    """Key schema on a grid of dimension dim; ``work(params, manifold)``
+    gives the key that sets the work and the amount, held to ``limit``."""
+
+    keys: Callable[[int], Schema]
+    work: Callable[..., Tuple[str, float]] = lambda params, manifold: ("", 0)
+    limit: int = 0
+    measure: str = ""
+
+
+def _geodesic_steps(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
+    steps = p["tau_end"] / p["h_tau"]
+    return "h_tau", steps if np.isinf(steps) else round(steps)
+
+
+TASKS: Dict[str, TaskType] = {
+    "axioms": TaskType(lambda dim: {
+        "kind": (_one_of(*KINDS), REQUIRED),
+        "t": (_exact, REQUIRED),
+        "s": (_exact, REQUIRED),
+        "samples": (_integer, 100),
+        "stride": (_integer, None)}),
+    "geodesic": TaskType(lambda dim: {
+        "position": (partial(_point, count=dim), REQUIRED),
+        "velocity": (partial(_numbers, count=dim), REQUIRED),
+        "tau_end": (_positive, REQUIRED),
+        "h_tau": (_positive, 1e-3),
+        "drag_contraction": (_one_of("euclidean", "minkowski"), "euclidean")},
+        _geodesic_steps, MAX_GEODESIC_STEPS, "tau_end / h_tau = {:.6g} steps"),
+    "pathlen": TaskType(lambda dim: {
+        "path": (partial(_tagged, tag="kind", schemas=_PATHS, dim=dim),
+                 REQUIRED),
+        "x_ref": (partial(_numbers, count=dim), None),
+        "steps": (partial(_integer, least=2,
+                          why="need at least 2 quadrature steps"), 1000)}),
+    # center and momentum are spatial: three axes in 3 and 4 dimensions
+    "wavepacket": TaskType(lambda dim: {
+        "center": (partial(_numbers, count=3), REQUIRED),
+        "width": (_positive, REQUIRED),
+        "x0": (partial(_numbers, count=dim), REQUIRED),
+        "momentum": (partial(_numbers, count=3), None),
+        "time_slice": (_number, None)}),
+    "gauge-check": TaskType(lambda dim: {
+        "stride": (partial(_integer, least=1, why="must be at least 1"), 1)}),
+    "compare": TaskType(lambda dim: {
+        "reference": (partial(_parse_outcome, dim=dim), REQUIRED),
+        "target": (partial(_parse_outcome, dim=dim), REQUIRED),
+        "mode": (_one_of("physical-transmission", "parallel-transform"),
+                 "physical-transmission")}),
+}
+_TASK_KEYS = {name: row.keys for name, row in TASKS.items()}
+
+
+def _parse_tasks(node: Any, path: str, dim: int) -> Tuple[Task, ...]:
+    tasks = _items(node, path, partial(_tagged, tag="type",
+                                       schemas=_TASK_KEYS, dim=dim))
+    if not tasks:
+        raise _fail(path, "need at least one task")
+    return tuple(Task(params.pop("type"), params) for params in tasks)
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -432,26 +402,16 @@ def parse_scenario_text(text: str) -> Scenario:
     except json.JSONDecodeError as err:
         raise ScenarioParseError(
             f"line {err.lineno}, column {err.colno}: {err.msg}")
-    tree = _mapping(root, "scenario")
-    _check_keys(tree, "scenario", ("manifold", "fields", "tasks"),
-                ("gauge", "seed", "output"))
-    manifold = _parse_manifold(tree["manifold"], "scenario.manifold")
-    fields = _parse_fields(tree["fields"], "scenario.fields",
-                           manifold.dimension)
-    gauge = None
-    if "gauge" in tree:
-        gauge = _parse_gauge(tree["gauge"], "scenario.gauge",
-                             manifold.dimension)
-    raw_tasks = _array(tree["tasks"], "scenario.tasks")
-    if not raw_tasks:
-        raise _fail("scenario.tasks", "need at least one task")
-    tasks = tuple(_parse_task(t, f"scenario.tasks[{i}]", manifold.dimension)
-                  for i, t in enumerate(raw_tasks))
-    seed = (_integer(tree["seed"], "scenario.seed")
-            if "seed" in tree else None)
-    output = (_string(tree["output"], "scenario.output")
-              if "output" in tree else None)
-    return Scenario(manifold, fields, gauge, tasks, seed, output)
+    manifold = _mapping(root, "scenario").get("manifold")
+    dim = manifold.get("dimension") if isinstance(manifold, dict) else None
+    return Scenario(**_keyed(root, "scenario", {
+        "manifold": (_parse_manifold, REQUIRED),
+        "fields": (partial(_parse_fields, dim=dim), REQUIRED),
+        "gauge": (partial(_parse_gauge, dim=dim), None),
+        "tasks": (partial(_parse_tasks, dim=dim), REQUIRED),
+        "seed": (_integer, None),
+        "output": (_string, None),
+    }))
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -478,13 +438,25 @@ class RuntimeScenario:
 def _build_spec(spec: FieldSpec, manifold: Manifold, label: str) -> FieldSpec:
     if isinstance(spec, _TabulatedStub):
         try:
-            return TabulatedField(manifold, spec.raw_values)
+            return TabulatedField(manifold, spec.values)
         except (TypeError, ValueError, ScenarioValidationError) as err:
             raise ScenarioValidationError(f"{label}: {err}")
     if isinstance(spec, CombinationField):
         return CombinationField(tuple(
             (w, _build_spec(s, manifold, label)) for w, s in spec.terms))
     return spec
+
+
+def _points(value: Any, path: str) -> Iterator[Tuple[str, Point]]:
+    """Every Point in a parsed value, with its dotted path."""
+    if isinstance(value, Point):
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _points(item, f"{path}.{key}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _points(item, f"{path}[{i}]")
 
 
 def validate_scenario(scenario: Scenario) -> RuntimeScenario:
@@ -541,33 +513,32 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
 
     for i, task in enumerate(scenario.tasks):
         label = f"scenario.tasks[{i}]"
-        if task.type == "gauge-check":
-            if gauge_config is None or gauge_transform is None:
-                raise ScenarioValidationError(
-                    f"{label}: gauge-check needs a gauge block with an "
-                    "alpha/gamma transform split")
-        if task.type == "geodesic":
-            p = task.params
-            if not manifold.contains(np.array(p["position"])):
-                raise ScenarioValidationError(
-                    f"{label}.position: point {list(p['position'])} "
-                    "outside bounds")
-            steps = p["tau_end"] / p["h_tau"]
-            if np.isinf(steps) or round(steps) > MAX_GEODESIC_STEPS:
-                raise ScenarioValidationError(
-                    f"{label}.h_tau: tau_end / h_tau = {steps:.6g} steps, "
-                    f"more than the limit of {MAX_GEODESIC_STEPS}")
-        if task.type == "wavepacket":
-            if manifold.dimension == 4 and task.params["time_slice"] is None:
-                raise ScenarioValidationError(
-                    f"{label}.time_slice: required on a 4-dimensional grid")
+        p = task.params
+        if task.type == "gauge-check" and gauge_transform is None:
+            raise ScenarioValidationError(
+                f"{label}: gauge-check needs a gauge block with an "
+                "alpha/gamma transform split")
+        if (task.type == "wavepacket" and manifold.dimension == 4
+                and p["time_slice"] is None):
+            raise ScenarioValidationError(
+                f"{label}.time_slice: required on a 4-dimensional grid")
         if task.type == "axioms":
-            if task.params["samples"] < 3:
+            if p["samples"] < 3:
                 raise ScenarioValidationError(
                     f"{label}.samples: need at least 3")
-            if task.params["kind"] != "natural" and task.params["stride"]:
+            if p["kind"] != "natural" and p["stride"]:
                 raise ScenarioValidationError(
                     f"{label}.stride: only natural structures carry a stride")
+        for where, point in _points(p, label):
+            if not manifold.contains(np.array(point)):
+                raise ScenarioValidationError(
+                    f"{where}: point {list(point)} outside bounds")
+        row = TASKS[task.type]
+        key, amount = row.work(p, manifold)
+        if amount > row.limit:
+            raise ScenarioValidationError(
+                f"{label}.{key}: {row.measure.format(amount)}, "
+                f"more than the limit of {row.limit}")
 
     return RuntimeScenario(scenario, manifold, fieldref, gauge_config,
                            gauge_transform)
