@@ -9,7 +9,8 @@ or when the output directory or summary.json cannot be written (stderr then
 says "error: cannot write ..."), 2 on a parse error, 3 on a validation
 error.  `validate` checks a scenario without running it (same 0/2/3
 codes).  `axioms` exercises one scaled structure directly and reports 0
-only if every axiom holds.
+only if every axiom holds; it takes at most scenario.MAX_AXIOM_SAMPLES
+samples, as an axioms task does.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .axioms import axiom_suite
 from .errors import ScaleFieldError
 from .exact import parse_fraction
 from .runner import EXIT_OK, EXIT_TASK_FAILURE, load_scenario, run_scenario
+from .scenario import MAX_AXIOM_SAMPLES
 from .structures import KINDS, structure
 
 
@@ -69,6 +71,9 @@ def _cmd_validate(path: str) -> int:
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
     try:
+        if not 3 <= args.samples <= MAX_AXIOM_SAMPLES:
+            raise ValueError(f"--samples must be 3 to {MAX_AXIOM_SAMPLES}, "
+                             f"got {args.samples}")
         st = structure(args.kind, parse_fraction(args.t),
                        parse_fraction(args.s), args.stride)
         report = axiom_suite(st, samples=args.samples, seed=args.seed)

@@ -314,7 +314,7 @@ def run_scenario(path: str, out: Optional[str] = None,
                 entry["error"] = "axiom failures: " + ", ".join(
                     results["failed_axioms"])
             entry["results"] = results_tree
-        except (ScaleFieldError, ValueError, ZeroDivisionError) as err:
+        except (ScaleFieldError, ValueError, ArithmeticError) as err:
             entry["status"] = "failed"
             entry["error"] = str(err)
             print(f"task {index} ({task.type}) failed: {err}",

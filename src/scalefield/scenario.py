@@ -19,6 +19,8 @@ work estimate, which validation holds to a budget; keys read by the
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -47,8 +49,11 @@ from .manifold import Manifold
 from .structures import KINDS
 
 RANDOMIZED_TASKS = ("axioms",)
-# most RK4 steps (round(tau_end / h_tau)) one geodesic task may ask for
+# work budgets of one task, checked by validate_scenario: RK4 steps
+# (round(tau_end / h_tau)), axiom samples, and Simpson nodes or grid points
 MAX_GEODESIC_STEPS = 1_000_000
+MAX_AXIOM_SAMPLES = 100_000
+MAX_POINTS = 10_000_000
 SIGNATURES = {3: "euclidean", 4: "minkowski"}
 REQUIRED = object()  # the default of a mandatory key
 
@@ -92,8 +97,7 @@ def _keyed(node: Any, path: str, schema: Schema) -> Dict[str, Any]:
 
 
 def _tagged(node: Any, path: str, tag: str,
-            schemas: Dict[str, Callable[[int], Schema]], dim: int,
-            ) -> Dict[str, Any]:
+            schemas: Dict[str, Callable[[int], Schema]], dim: int) -> Dict[str, Any]:
     """``_keyed`` on an object whose ``tag`` value picks the schema."""
     tree = _mapping(node, path)
     if tag not in tree:
@@ -103,7 +107,8 @@ def _tagged(node: Any, path: str, tag: str,
 
 
 def _number(node: Any, path: str, positive: bool = False) -> float:
-    if not np.isfinite(_typed(node, path, (int, float), "a number")):
+    # false for inf, NaN and an integer beyond the float range
+    if not abs(_typed(node, path, (int, float), "a number")) <= sys.float_info.max:
         raise _fail(path, "number must be finite")
     if positive and not node > 0:
         raise _fail(path, "must be positive")
@@ -115,7 +120,9 @@ _positive = partial(_number, positive=True)
 
 def _integer(node: Any, path: str, least: float = -np.inf,
              most: float = np.inf, why: str = "") -> int:
-    if not least <= _typed(node, path, int, "an integer") <= most:
+    if not -2**63 <= _typed(node, path, int, "an integer") < 2**63:
+        raise _fail(path, "integer outside the signed 64-bit range")
+    if not least <= node <= most:
         raise _fail(path, why)
     return node
 
@@ -315,7 +322,7 @@ def _parse_outcome(node: Any, path: str, dim: int) -> Dict[str, Any]:
     pair = partial(_items, parse=_exact, count=2, what="exact parts [re, im]")
     kind = _mapping(node, path).get("kind")
     return _keyed(node, path, {
-        "location": (partial(_numbers, count=dim), REQUIRED),
+        "location": (partial(_point, count=dim), REQUIRED),
         "kind": (_one_of(*KINDS), REQUIRED),
         "payload": (pair if kind == "complex" else _exact, REQUIRED),
     })
@@ -324,12 +331,12 @@ def _parse_outcome(node: Any, path: str, dim: int) -> Dict[str, Any]:
 def _vertices(node: Any, path: str, dim: int) -> Tuple[Tuple[float, ...], ...]:
     if len(_array(node, path)) < 2:
         raise _fail(path, "need at least two vertices")
-    return _items(node, path, partial(_numbers, count=dim))
+    return _items(node, path, partial(_point, count=dim))
 
 
 _PATHS: Dict[str, Callable[[int], Schema]] = {
-    "segment": lambda dim: {"start": (partial(_numbers, count=dim), REQUIRED),
-                            "end": (partial(_numbers, count=dim), REQUIRED)},
+    "segment": lambda dim: {"start": (partial(_point, count=dim), REQUIRED),
+                            "end": (partial(_point, count=dim), REQUIRED)},
     "polyline": lambda dim: {"vertices": (partial(_vertices, dim=dim),
                                           REQUIRED)},
 }
@@ -350,13 +357,22 @@ def _geodesic_steps(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
     return "h_tau", steps if np.isinf(steps) else round(steps)
 
 
+def _simpson_nodes(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
+    # the quadrature splits steps over the polyline pieces, at least 2 each
+    path = p["path"]
+    pieces = len(path["vertices"]) - 1 if path["kind"] == "polyline" else 1
+    return "steps", max(p["steps"], 2 * pieces) + pieces
+
+
 TASKS: Dict[str, TaskType] = {
     "axioms": TaskType(lambda dim: {
         "kind": (_one_of(*KINDS), REQUIRED),
         "t": (_exact, REQUIRED),
         "s": (_exact, REQUIRED),
         "samples": (_integer, 100),
-        "stride": (_integer, None)}),
+        "stride": (_integer, None)},
+        lambda p, m: ("samples", p["samples"]), MAX_AXIOM_SAMPLES,
+        "{:.6g} samples"),
     "geodesic": TaskType(lambda dim: {
         "position": (partial(_point, count=dim), REQUIRED),
         "velocity": (partial(_numbers, count=dim), REQUIRED),
@@ -367,18 +383,25 @@ TASKS: Dict[str, TaskType] = {
     "pathlen": TaskType(lambda dim: {
         "path": (partial(_tagged, tag="kind", schemas=_PATHS, dim=dim),
                  REQUIRED),
-        "x_ref": (partial(_numbers, count=dim), None),
+        "x_ref": (partial(_point, count=dim), None),
         "steps": (partial(_integer, least=2,
-                          why="need at least 2 quadrature steps"), 1000)}),
+                          why="need at least 2 quadrature steps"), 1000)},
+        _simpson_nodes, MAX_POINTS, "{:.6g} Simpson nodes"),
     # center and momentum are spatial: three axes in 3 and 4 dimensions
     "wavepacket": TaskType(lambda dim: {
         "center": (partial(_numbers, count=3), REQUIRED),
         "width": (_positive, REQUIRED),
-        "x0": (partial(_numbers, count=dim), REQUIRED),
+        "x0": (partial(_point, count=dim), REQUIRED),
         "momentum": (partial(_numbers, count=3), None),
-        "time_slice": (_number, None)}),
+        "time_slice": (_number, None)},
+        lambda p, m: ("", math.prod(float(m.grid_shape[a])
+                                    for a in m.spatial_axes)),
+        MAX_POINTS, "{:.6g} points in the spatial slice of the grid"),
     "gauge-check": TaskType(lambda dim: {
-        "stride": (partial(_integer, least=1, why="must be at least 1"), 1)}),
+        "stride": (partial(_integer, least=1, why="must be at least 1"), 1)},
+        # the full interior is built before the stride is applied
+        lambda p, m: ("", math.prod(float(n - 2) for n in m.grid_shape)),
+        MAX_POINTS, "{:.6g} interior grid points"),
     "compare": TaskType(lambda dim: {
         "reference": (partial(_parse_outcome, dim=dim), REQUIRED),
         "target": (partial(_parse_outcome, dim=dim), REQUIRED),
@@ -399,19 +422,23 @@ def _parse_tasks(node: Any, path: str, dim: int) -> Tuple[Task, ...]:
 def parse_scenario_text(text: str) -> Scenario:
     try:
         root = json.loads(text)
+        manifold = _mapping(root, "scenario").get("manifold")
+        dim = manifold.get("dimension") if isinstance(manifold, dict) else None
+        return Scenario(**_keyed(root, "scenario", {
+            "manifold": (_parse_manifold, REQUIRED),
+            "fields": (partial(_parse_fields, dim=dim), REQUIRED),
+            "gauge": (partial(_parse_gauge, dim=dim), None),
+            "tasks": (partial(_parse_tasks, dim=dim), REQUIRED),
+            "seed": (_integer, None),
+            "output": (_string, None),
+        }))
     except json.JSONDecodeError as err:
         raise ScenarioParseError(
             f"line {err.lineno}, column {err.colno}: {err.msg}")
-    manifold = _mapping(root, "scenario").get("manifold")
-    dim = manifold.get("dimension") if isinstance(manifold, dict) else None
-    return Scenario(**_keyed(root, "scenario", {
-        "manifold": (_parse_manifold, REQUIRED),
-        "fields": (partial(_parse_fields, dim=dim), REQUIRED),
-        "gauge": (partial(_parse_gauge, dim=dim), None),
-        "tasks": (partial(_parse_tasks, dim=dim), REQUIRED),
-        "seed": (_integer, None),
-        "output": (_string, None),
-    }))
+    except RecursionError:
+        raise ScenarioParseError("scenario: nested too deeply")
+    except ValueError as err:  # an integer of more digits than int() takes
+        raise ScenarioParseError(f"scenario: {err}")
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -467,7 +494,7 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
             manifold = Manifold.box(block.bounds, block.nodes)
         else:
             manifold = Manifold(block.dimension, block.bounds, block.spacing)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ScenarioValidationError(f"scenario.manifold: {err}")
 
     try:
@@ -536,8 +563,9 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
         row = TASKS[task.type]
         key, amount = row.work(p, manifold)
         if amount > row.limit:
+            where = f"{label}.{key}" if key else label
             raise ScenarioValidationError(
-                f"{label}.{key}: {row.measure.format(amount)}, "
+                f"{where}: {row.measure.format(amount)}, "
                 f"more than the limit of {row.limit}")
 
     return RuntimeScenario(scenario, manifold, fieldref, gauge_config,

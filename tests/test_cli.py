@@ -3,13 +3,18 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from scalefield import scenario
 from scalefield.cli import main
 from scalefield.runner import OUTPUT_ENV_VAR, resolve_output_dir
 from scalefield.scenario import parse_scenario
@@ -166,16 +171,35 @@ def test_out_of_range_demo_values_are_parse_errors(tmp_path, capsys, keys,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("changes, where", [
-    ({"position": [0.0, 5.0, 0.0, 0.0]}, "scenario.tasks[2].position"),
-    ({"h_tau": 1e-9}, "scenario.tasks[2].h_tau"),
-    ({"tau_end": 2.0, "h_tau": 1.9e-6}, "scenario.tasks[2].h_tau"),
-    ({"tau_end": 1e300, "h_tau": 1e-300}, "scenario.tasks[2].h_tau"),
-], ids=["start-outside", "tiny-step", "just-over-the-limit", "ratio-overflows"])
+@pytest.mark.parametrize("index, changes, where", [
+    (2, {"position": [0.0, 5.0, 0.0, 0.0]}, "scenario.tasks[2].position"),
+    (2, {"h_tau": 1e-9}, "scenario.tasks[2].h_tau"),
+    (2, {"tau_end": 2.0, "h_tau": 1.9e-6}, "scenario.tasks[2].h_tau"),
+    (2, {"tau_end": 1e300, "h_tau": 1e-300}, "scenario.tasks[2].h_tau"),
+    (1, {"path": {"kind": "segment", "start": [0.0, 0.0, 0.0, 0.0],
+                  "end": [0.0, 5.0, 0.0, 0.0]}},
+     "scenario.tasks[1].path.end"),
+    (1, {"path": {"kind": "polyline",
+                  "vertices": [[0.0] * 4, [0.0, 1.0, 0.0, 0.0],
+                               [0.0, 1.0, -2.5, 0.0]]}},
+     "scenario.tasks[1].path.vertices[2]"),
+    (1, {"x_ref": [2.1, 0.0, 0.0, 0.0]}, "scenario.tasks[1].x_ref"),
+    (3, {"x0": [0.0, 0.5, 0.0, 9.0]}, "scenario.tasks[3].x0"),
+    (5, {"target": {"location": [0.0, -3.0, 0.0, 0.0], "kind": "rational",
+                    "payload": 5}}, "scenario.tasks[5].target.location"),
+    (1, {"steps": 10 ** 12}, "scenario.tasks[1].steps"),
+    (0, {"samples": 10 ** 9}, "scenario.tasks[0].samples"),
+    (3, {"manifold": {"nodes": 10 ** 5}}, "scenario.tasks[3]"),
+], ids=["start-outside", "tiny-step", "just-over-the-limit", "ratio-overflows",
+        "path-end-outside", "vertex-outside", "x-ref-outside",
+        "packet-x0-outside", "compare-location-outside", "simpson-nodes",
+        "axiom-samples", "packet-slice"])
 def test_geodesics_run_would_refuse_or_not_finish_are_validation_errors(
-        tmp_path, capsys, changes, where):
+        tmp_path, capsys, index, changes, where):
     doc = json.loads(DEMO.read_text(encoding="utf-8"))
-    doc["tasks"][2].update(changes)
+    changes = dict(changes)
+    doc["manifold"].update(changes.pop("manifold", {}))
+    doc["tasks"][index].update(changes)
     path = write(tmp_path, doc)
     # validate first: at a step limit that does not hold, run would not end
     assert main(["validate", path]) == 3
@@ -211,22 +235,28 @@ def test_overflowing_result_fails_its_task_and_summary_is_strict_json(
 
 
 def test_task_failures_exit_1_but_later_tasks_still_run(tmp_path, capsys):
+    # exp(theta) = exp(x0) overflows on the way to x0 = 800, inside the
+    # bounds: validation passes and only the run can find the failure
     doc = minimal(tasks=[
         {"type": "pathlen", "path": {"kind": "segment",
                                      "start": [0.0, 0.0, 0.0],
-                                     "end": [5.0, 0.0, 0.0]}},
+                                     "end": [800.0, 0.0, 0.0]}},
         {"type": "pathlen", "path": {"kind": "segment",
                                      "start": [0.0, 0.0, 0.0],
                                      "end": [1.0, 0.0, 0.0]}},
     ])
+    doc["manifold"] = {"dimension": 3,
+                       "bounds": [[-2.0, 1000.0], [-2.0, 2.0], [-2.0, 2.0]],
+                       "spacing": [2.0, 0.5, 0.5]}
     path = write(tmp_path, doc)
     out = str(tmp_path / "o")
+    assert main(["validate", path]) == 0
     assert main(["run", path, "--out", out]) == 1
     assert "task 0" in capsys.readouterr().err
     summary = summary_of(out)
     assert summary["status"] == "failed"
     assert summary["tasks"][0]["status"] == "failed"
-    assert summary["tasks"][0]["error"]
+    assert summary["tasks"][0]["error"] == "non-finite result scaled_length"
     assert summary["tasks"][1]["status"] == "ok"
     assert summary["tasks"][1]["results"]["scaled_length"] == pytest.approx(
         math.e - 1.0, rel=1e-12)
@@ -329,9 +359,154 @@ def test_axioms_subcommand_rejects_garbage_factors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", [2, scenario.MAX_AXIOM_SAMPLES + 1])
+def test_axioms_subcommand_rejects_samples_out_of_range_before_work(
+        monkeypatch, capsys, samples):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the axiom suite ran")
+
+    monkeypatch.setattr("scalefield.cli.axiom_suite", no_work)
+    assert main(["axioms", "--kind", "rational", "--t", "3/2", "--s", "2",
+                 "--samples", str(samples)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_console_script_round_trip(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "scalefield.cli", "validate", str(DEMO)],
         capture_output=True, text=True)
     assert run.returncode == 0
     assert "ok: 6 task(s)" in run.stdout
+
+
+# -- fuzzing the task table ----------------------------------------------------
+
+
+def fuzz_base():
+    """One valid task of every type on a small 3d grid with bounds +-2."""
+    const = {"family": "constant", "constant": 0.0}
+    return {
+        "manifold": {"dimension": 3, "bounds": [[-2.0, 2.0]] * 3, "nodes": 5},
+        "fields": {"theta": {"family": "linear",
+                             "coefficients": [0.3, 0.0, 0.1]}},
+        "gauge": {"g_r": 1.0, "g_i": 1.0, "h_i": 0.5, "photon": [const] * 3,
+                  "alpha": const,
+                  "gamma": {"family": "linear",
+                            "coefficients": [0.1, 0.0, 0.0]}},
+        "tasks": [
+            {"type": "axioms", "kind": "rational", "t": "3/2", "s": 2,
+             "samples": 12},
+            {"type": "geodesic", "position": [0.0, 0.0, 0.0],
+             "velocity": [0.1, 0.2, 0.0], "tau_end": 0.5, "h_tau": 0.05},
+            {"type": "pathlen",
+             "path": {"kind": "polyline",
+                      "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                   [1.0, 1.0, 0.0]]},
+             "x_ref": [0.0, 0.0, 0.0], "steps": 40},
+            {"type": "wavepacket", "center": [0.0, 0.0, 0.0], "width": 0.5,
+             "x0": [0.5, 0.0, 0.0], "momentum": [1.0, 0.0, 0.0]},
+            {"type": "gauge-check", "stride": 2},
+            {"type": "compare", "mode": "parallel-transform",
+             "reference": {"location": [0.0, 0.0, 0.0], "kind": "complex",
+                           "payload": [1, "1/2"]},
+             "target": {"location": [1.0, 0.0, 0.0], "kind": "complex",
+                        "payload": [1, "1/2"]}},
+        ],
+        "seed": 3,
+    }
+
+
+# the dotted path of every point in the base tasks, as the table marks them
+FUZZ_POINTS = [
+    (index, where)
+    for index, task in enumerate(
+        scenario.parse_scenario_text(json.dumps(fuzz_base())).tasks)
+    for where, _ in scenario._points(task.params, "")
+]
+SWAPS = ["x", True, None, [], {}, [1.0], [[1.0, 2.0]], {"kind": "x"}, 0.5, 3]
+EXTREMES = [0, -1, 5e-324, -1e-300, 1e-300, 1e300, -1e300,
+            1.7976931348623157e308, 2 ** 53 + 1, 2 ** 63, -2 ** 63 - 1,
+            10 ** 30, 10 ** 400]
+JUST_OUTSIDE = [math.nextafter(2.0, 3.0), math.nextafter(-2.0, -3.0), 2.5,
+                -1e6]
+# run a scenario only if no task's work estimate is above this
+FUZZ_RUN_WORK = 2000
+
+
+def _node(task, where):
+    """The list or object that holds the last step of a dotted path."""
+    steps = [int(i) if i else k
+             for k, i in re.findall(r"\.(\w+)|\[(\d+)\]", where)]
+    for step in steps[:-1]:
+        task = task[step]
+    return task, steps[-1]
+
+
+def _numeric_leaves(value, where=""):
+    if isinstance(value, bool):
+        return []
+    if isinstance(value, (int, float)):
+        return [where]
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    return [leaf for k, v in items
+            for leaf in _numeric_leaves(
+                v, f"{where}.{k}" if isinstance(k, str) else f"{where}[{k}]")]
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    doc = fuzz_base()
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(["drop", "swap", "extreme", "outside"]))
+        if how == "outside":
+            index, where = draw(st.sampled_from(FUZZ_POINTS))
+            try:
+                holder, last = _node(doc["tasks"][index], where)
+                point = holder[last]
+                point[draw(st.integers(0, len(point) - 1))] = draw(
+                    st.sampled_from(JUST_OUTSIDE))
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation took the point away
+            continue
+        task = draw(st.sampled_from(doc["tasks"]))
+        key = draw(st.sampled_from(sorted(scenario.TASKS[task["type"]].keys(3))))
+        if how == "drop":
+            task.pop(key, None)
+        elif how == "swap":
+            task[key] = draw(st.sampled_from(SWAPS))
+        else:
+            leaves = _numeric_leaves(task.get(key), f".{key}")
+            holder, last = (_node(task, draw(st.sampled_from(leaves)))
+                            if leaves else (task, key))
+            holder[last] = draw(st.sampled_from(EXTREMES))
+    return doc
+
+
+def _small_work(path):
+    rt = scenario.validate_scenario(parse_scenario(path))
+    return all(scenario.TASKS[t.type].work(t.params, rt.manifold)[1]
+               <= FUZZ_RUN_WORK for t in rt.scenario.tasks)
+
+
+def test_fuzz_base_covers_every_task_type():
+    assert ({t["type"] for t in fuzz_base()["tasks"]}
+            == set(scenario.TASKS))
+    assert len(FUZZ_POINTS) == 8
+
+
+@settings(max_examples=100, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=fuzzed_scenarios())
+def test_fuzzed_tasks_end_with_a_documented_exit_code(doc):
+    # dropped keys, swapped types, extreme numbers and points just outside
+    # the bounds: parse and validate end 0, 2 or 3 and run ends 0 or 1,
+    # never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main(["validate", path])
+        assert code in (0, 2, 3)
+        if code == 0 and _small_work(path):
+            assert main(["run", path, "--out", os.path.join(tmp, "o")]) in (0, 1)

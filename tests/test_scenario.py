@@ -375,3 +375,44 @@ def test_gaussian_theta_with_axes_survives_validation():
     rt = ok(doc)
     assert isinstance(rt.field.theta, GaussianField)
     assert rt.field.theta.axes == (1, 2)
+
+
+def test_gauge_check_budget_counts_the_interior_before_the_stride():
+    doc = base()
+    const = {"family": "constant", "constant": 0.0}
+    doc["gauge"] = {"g_r": 1.0, "g_i": 1.0, "h_i": 0.5,
+                    "photon": [const] * 3, "alpha": const, "gamma": const}
+    doc["tasks"] = [{"type": "gauge-check", "stride": 7}]
+    doc["manifold"]["nodes"] = 217  # 215**3 = 9,938,375 interior points
+    ok(doc)
+    doc["manifold"]["nodes"] = 218  # 216**3 = 10,077,696, 1,439,671 strided
+    invalid(doc, re.escape("scenario.tasks[0]: 1.00777e+07 interior grid "
+                           "points, more than the limit of 10000000"))
+
+
+def _deep_combination(depth):
+    spec = {"family": "constant", "constant": 0.0}
+    for _ in range(depth):
+        spec = {"family": "combination",
+                "terms": [{"weight": 1.0, "spec": spec}]}
+    return spec
+
+
+@pytest.mark.parametrize("text, code, fragment", [
+    (json.dumps(base()).replace('"nodes": 9', '"nodes": ' + "9" * 5000),
+     2, "scenario: Exceeds the limit"),
+    (json.dumps({**base(), "fields": {"theta": _deep_combination(300)}}),
+     2, "scenario: nested too deeply"),
+    (json.dumps(base()).replace('"nodes": 9', '"nodes": ' + "9" * 30),
+     2, "scenario.manifold.nodes: integer outside the signed 64-bit range"),
+    (json.dumps(base()).replace('"constant": 0.0', '"constant": 1' + "0" * 400),
+     2, "scenario.fields.theta.constant: number must be finite"),
+    (json.dumps(base()).replace('"nodes": 9', '"spacing": 1e-320'),
+     3, "scenario.manifold: "),
+], ids=["integer-digits", "nesting", "int64", "huge-integer", "tiny-spacing"])
+def test_extreme_inputs_are_parse_or_validation_errors(tmp_path, capsys, text,
+                                                       code, fragment):
+    target = tmp_path / "scenario.json"
+    target.write_text(text, encoding="utf-8")
+    assert main(["validate", str(target)]) == code
+    assert fragment in capsys.readouterr().err
