@@ -135,6 +135,12 @@ def _axiom_table(ops: ScaledOps):
     return table
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a sample pool too small for a three-value axiom."""
+    if samples < 3:
+        raise ValueError("need at least 3 samples")
+
+
 def axiom_suite(st: ScaledStructure, samples: int = 100, seed: int = 0,
                 ops: Optional[ScaledOps] = None) -> AxiomReport:
     """Exercise every applicable axiom on randomly drawn exact values.
@@ -144,8 +150,7 @@ def axiom_suite(st: ScaledStructure, samples: int = 100, seed: int = 0,
     ``scaled_ops(st)``.  Each axiom walks the drawn sample
     pool in a decorrelated rotation, consuming up to three values per check.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
+    check_samples(samples)
     if ops is None:
         ops = scaled_ops(st)
     rng = random.Random(seed)

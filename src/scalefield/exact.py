@@ -121,12 +121,21 @@ def as_exact(x) -> Scalar:
     return Fraction(x)
 
 
+MAX_EXPONENT = 4300  # the digit limit int() applies to the other forms
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse "A/B" or a plain integer/decimal string into a Fraction."""
+    """Parse "A/B" or a plain integer/decimal string into a Fraction; a
+    decimal exponent beyond MAX_EXPONENT would take unbounded work."""
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
         return Fraction(int(num.strip()), int(den.strip()))
     if "." in s or "e" in s or "E" in s:
-        return Fraction(Decimal(s))
+        d = Decimal(s)
+        exponent = d.as_tuple().exponent
+        if abs(exponent) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent {exponent} beyond the limit "
+                             f"of {MAX_EXPONENT}")
+        return Fraction(d)
     return Fraction(int(s))

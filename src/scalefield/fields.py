@@ -335,14 +335,20 @@ class ScalingField:
         pts = self.manifold.require_inside(x)
         return np.asarray(self.phi.value(pts))
 
-    def _spec_gradient(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
-        if self.gradient_mode == "analytic":
-            return spec.gradient(pts)
+    def require_stencil(self, pts: np.ndarray) -> None:
+        """Refuse points where a central difference would leave the grid."""
         h = self.gradient_step
-        if not self.manifold.margin_inside(pts, h).all():
+        if (self.gradient_mode == "central"
+                and not self.manifold.margin_inside(pts, h).all()):
             raise BoundaryPoint(
                 f"central differences need {h} of margin on every axis"
             )
+
+    def _spec_gradient(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
+        if self.gradient_mode == "analytic":
+            return spec.gradient(pts)
+        self.require_stencil(pts)
+        h = self.gradient_step
         out = np.empty(pts.shape)
         for axis in range(self.manifold.dimension):
             out[..., axis] = _central_difference(spec, pts, axis, h)

@@ -133,6 +133,14 @@ class Manifold:
             idx.append(int(k))
         return tuple(idx)
 
+    def interior_corners(self) -> np.ndarray:
+        """The first and last interior node, shape (2, dim): every interior
+        node lies in the box they span.  ValueError if there is none."""
+        if min(self.grid_shape) < 3:
+            raise ValueError("the grid has no interior node")
+        return np.array([self.axis_nodes(a)[[1, -2]]
+                         for a in range(self.dimension)]).T
+
     def interior_grid_points(self) -> np.ndarray:
         """All grid nodes with both neighbors available on every axis."""
         axes_nodes = [self.axis_nodes(a)[1:-1] for a in range(self.dimension)]

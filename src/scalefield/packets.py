@@ -20,6 +20,23 @@ from .fields import Level, ScalingField, connection_factor
 from .manifold import Manifold
 
 
+def slice_time(manifold: Manifold,
+               time_slice: Optional[float]) -> Optional[float]:
+    """The time of a packet's spatial slice: required and inside the bounds
+    on a 4-dimensional grid, None on a 3-dimensional one."""
+    if manifold.dimension == 3:
+        if time_slice is not None:
+            raise ValueError("time_slice only applies to 4-dimensional grids")
+        return None
+    if time_slice is None:
+        raise ValueError("time_slice required on a 4-dimensional grid")
+    t = float(time_slice)
+    lo, hi = manifold.bounds[0]
+    if not lo <= t <= hi:
+        raise OutOfBounds(f"time_slice {t} outside [{lo}, {hi}]")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class WavePacket:
     """Complex amplitudes over the spatial slice of a manifold grid.
@@ -35,23 +52,14 @@ class WavePacket:
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
-        m = self.manifold
         shape = self.spatial_shape
         if amp.shape != shape:
             raise ValueError(
                 f"amplitudes shape {amp.shape} does not match the spatial "
                 f"grid {shape}"
             )
-        if m.dimension == 4:
-            if self.time_slice is None:
-                raise ValueError("a 4-dimensional packet needs a time_slice")
-            t = float(self.time_slice)
-            lo, hi = m.bounds[0]
-            if not (lo <= t <= hi):
-                raise OutOfBounds(f"time_slice {t} outside [{lo}, {hi}]")
-            object.__setattr__(self, "time_slice", t)
-        elif self.time_slice is not None:
-            raise ValueError("time_slice only applies to 4-dimensional grids")
+        object.__setattr__(self, "time_slice",
+                           slice_time(self.manifold, self.time_slice))
         total = float(np.sum(np.abs(amp) ** 2))
         if not np.isfinite(total) or total <= 0.0:
             raise ValueError("packet norm must be finite and positive")

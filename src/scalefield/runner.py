@@ -6,6 +6,9 @@ echoed, so a run is self-describing), and headline scalars.  All file
 content is deterministic for a fixed scenario and seed: no timestamps, no
 absolute paths, sorted JSON keys, fixed float formatting.
 
+Handlers run the inputs that ``validate_scenario`` built for each task, so
+every precondition is checked once, before any task runs.
+
 A task whose results hold inf or NaN fails and names the first such key;
 numpy's floating-point warnings inside a task are silenced, so the failure
 entry is the one report of an overflow.  summary.json is strict JSON.
@@ -17,7 +20,6 @@ summary.json could not be written ("error: cannot write ..." on stderr),
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -38,19 +40,17 @@ from .errors import (
 from .csvio import render_csv, write_text
 from .fields import eval_f
 from .gauge import invariance_residual
-from .geodesics import GeodesicState, integrate_geodesic
+from .geodesics import integrate_geodesic
 from .manifold import Manifold
-from .outcomes import Outcome, compare_outcomes
+from .outcomes import compare_outcomes
 from .packets import gaussian_packet, packet_norm_squared, scale_wave_packet
-from .paths import PolylinePath, SegmentPath, local_path_length, scaled_path_length
+from .paths import local_path_length, scaled_path_length
 from .scenario import (
     RuntimeScenario,
     Scenario,
-    Task,
     parse_scenario,
     validate_scenario,
 )
-from .structures import BaseNumber, structure
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -61,16 +61,10 @@ OUTPUT_ENV_VAR = "SCALEFIELD_OUT"
 
 
 def _jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, complex):
         return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -87,26 +81,17 @@ def _finite(value: Any) -> bool:
     return True
 
 
-def _outcome(spec: Dict[str, Any]) -> Outcome:
-    if spec["kind"] == "complex":
-        number = BaseNumber.complex(*spec["payload"])
-    else:
-        number = BaseNumber(spec["kind"], spec["payload"])
-    return Outcome(np.array(spec["location"]), number)
-
-
 def _complex_cells(z: Optional[complex]) -> Tuple[Optional[float], Optional[float]]:
     if z is None:
         return None, None
     return float(z.real), float(z.imag)
 
 
-# -- task handlers: each returns (header, rows, results dict) -----------------
+# -- task handlers: each takes (params, built inputs, runtime, seed) and ------
+# -- returns (header, rows, results dict) -------------------------------------
 
 
-def _run_axioms(task: Task, rt: RuntimeScenario, seed: Optional[int]):
-    p = task.params
-    st = structure(p["kind"], p["t"], p["s"], p["stride"])
+def _run_axioms(p, st, rt: RuntimeScenario, seed: Optional[int]):
     report = axiom_suite(st, samples=p["samples"], seed=seed or 0)
     rows = [(r.name, r.checks, r.failures) for r in report.results]
     results = {
@@ -116,9 +101,7 @@ def _run_axioms(task: Task, rt: RuntimeScenario, seed: Optional[int]):
     return ("axiom", "checks", "failures"), rows, results
 
 
-def _run_geodesic(task: Task, rt: RuntimeScenario, seed: Optional[int]):
-    p = task.params
-    state = GeodesicState(np.array(p["position"]), np.array(p["velocity"]))
+def _run_geodesic(p, state, rt: RuntimeScenario, seed: Optional[int]):
     tr = integrate_geodesic(state, rt.field, p["tau_end"], p["h_tau"],
                             drag_contraction=p["drag_contraction"])
     dim = rt.manifold.dimension
@@ -134,17 +117,8 @@ def _run_geodesic(task: Task, rt: RuntimeScenario, seed: Optional[int]):
     return header, rows, results
 
 
-def _build_path(spec: Dict[str, Any]):
-    if spec["kind"] == "segment":
-        return SegmentPath(np.array(spec["start"]), np.array(spec["end"]))
-    return PolylinePath(np.array(spec["vertices"]))
-
-
-def _run_pathlen(task: Task, rt: RuntimeScenario, seed: Optional[int]):
-    p = task.params
-    q = _build_path(p["path"])
-    x_ref = np.array(p["x_ref"]) if p["x_ref"] is not None \
-        else q.position(np.array(0.0))
+def _run_pathlen(p, built, rt: RuntimeScenario, seed: Optional[int]):
+    q, x_ref = built
     local = local_path_length(q, rt.manifold, p["steps"])
     scaled = scaled_path_length(q, rt.field, x_ref, p["steps"])
     rows = [(p["steps"], local, scaled)]
@@ -156,10 +130,9 @@ def _run_pathlen(task: Task, rt: RuntimeScenario, seed: Optional[int]):
     return ("steps", "local_length", "scaled_length"), rows, results
 
 
-def _run_wavepacket(task: Task, rt: RuntimeScenario, seed: Optional[int]):
-    p = task.params
+def _run_wavepacket(p, time_slice, rt: RuntimeScenario, seed: Optional[int]):
     psi = gaussian_packet(rt.manifold, p["center"], p["width"],
-                          momentum=p["momentum"], time_slice=p["time_slice"])
+                          momentum=p["momentum"], time_slice=time_slice)
     scaled = scale_wave_packet(psi, rt.field, np.array(p["x0"]))
     spatial = psi.points()[..., list(rt.manifold.spatial_axes)].reshape(-1, 3)
     amp = scaled.amplitudes.reshape(-1)
@@ -174,11 +147,9 @@ def _run_wavepacket(task: Task, rt: RuntimeScenario, seed: Optional[int]):
     return header, rows, results
 
 
-def _run_gauge_check(task: Task, rt: RuntimeScenario, seed: Optional[int]):
-    stride = task.params["stride"]
-    pts = rt.manifold.interior_grid_points()[::stride]
-    res = invariance_residual(rt.field, rt.gauge_config, rt.gauge_transform,
-                              pts)
+def _run_gauge_check(p, transform, rt: RuntimeScenario, seed: Optional[int]):
+    pts = rt.manifold.interior_grid_points()[::p["stride"]]
+    res = invariance_residual(rt.field, rt.gauge_config, transform, pts)
     dim = rt.manifold.dimension
     header = (*(f"x{m}" for m in range(dim)), "residual")
     rows = [(*map(float, x), float(r)) for x, r in zip(pts, res)]
@@ -189,10 +160,8 @@ def _run_gauge_check(task: Task, rt: RuntimeScenario, seed: Optional[int]):
     return header, rows, results
 
 
-def _run_compare(task: Task, rt: RuntimeScenario, seed: Optional[int]):
-    p = task.params
-    r = _outcome(p["reference"])
-    t = _outcome(p["target"])
+def _run_compare(p, outcomes, rt: RuntimeScenario, seed: Optional[int]):
+    r, t = outcomes
     report = compare_outcomes(r, t, rt.field, mode=p["mode"])
     ratio = _complex_cells(report.ratio)
     transported = _complex_cells(report.transported)
@@ -208,8 +177,7 @@ def _run_compare(task: Task, rt: RuntimeScenario, seed: Optional[int]):
         "mismatch_factor": report.mismatch_factor,
         "values_match": report.values_match,
         "field_ratio_check": complex(
-            eval_f(rt.field, np.array(p["target"]["location"]))
-            / eval_f(rt.field, np.array(p["reference"]["location"])))
+            eval_f(rt.field, t.location) / eval_f(rt.field, r.location))
         if p["mode"] == "parallel-transform" else None,
     }
     return header, rows, results
@@ -287,7 +255,7 @@ def run_scenario(path: str, out: Optional[str] = None,
 
     entries: List[Dict[str, Any]] = []
     all_ok = True
-    for index, task in enumerate(scenario.tasks):
+    for index, (task, built) in enumerate(zip(scenario.tasks, rt.inputs)):
         csv_name = f"{index:02d}_{task.type}.csv"
         task_seed = run_seed + index if run_seed is not None else None
         entry: Dict[str, Any] = {
@@ -299,8 +267,8 @@ def run_scenario(path: str, out: Optional[str] = None,
         }
         try:
             with np.errstate(all="ignore"):
-                header, rows, results = _HANDLERS[task.type](task, rt,
-                                                             task_seed)
+                header, rows, results = _HANDLERS[task.type](
+                    task.params, built, rt, task_seed)
             results_tree = _jsonable(results)
             bad = [k for k, v in sorted(results_tree.items())
                    if not _finite(v)]

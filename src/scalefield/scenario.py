@@ -11,9 +11,12 @@ randomized tasks or a gauge block for gauge tasks).
 
 Every JSON object is read by ``_keyed`` against a schema that maps each key
 to a parser and a default, ``REQUIRED`` for a mandatory key.  ``TASKS`` is
-the one table of task types.  A row holds the task's key schema and its
-work estimate, which validation holds to a budget; keys read by the
-``_point`` parser hold points that validation requires inside the bounds.
+the one table of task types.  A row holds the task's key schema, its work
+estimate, which validation holds to a budget, and its ``build`` column,
+which makes the task's inputs with the library constructors: validation
+refuses what they refuse, and the runner runs what validation built.  Keys
+read by the ``_point`` parser hold points that validation requires inside
+the bounds.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .axioms import check_samples
 from .errors import (
+    DegenerateParameterization,
     ScaleFieldError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -44,11 +49,14 @@ from .fields import (
     ScalingField,
     TabulatedField,
 )
-from .gauge import GaugeConfig, GaugeTransform
+from .gauge import GaugeConfig, GaugeTransform, apply_transform
+from .geodesics import GeodesicState
 from .manifold import Manifold
-from .structures import KINDS
+from .outcomes import Outcome
+from .packets import slice_time
+from .paths import PolylinePath, SegmentPath
+from .structures import KINDS, BaseNumber, structure
 
-RANDOMIZED_TASKS = ("axioms",)
 # work budgets of one task, checked by validate_scenario: RK4 steps
 # (round(tau_end / h_tau)), axiom samples, and Simpson nodes or grid points
 MAX_GEODESIC_STEPS = 1_000_000
@@ -343,13 +351,16 @@ _PATHS: Dict[str, Callable[[int], Schema]] = {
 
 
 class TaskType(NamedTuple):
-    """Key schema on a grid of dimension dim; ``work(params, manifold)``
-    gives the key that sets the work and the amount, held to ``limit``."""
+    """Key schema on a grid of dimension dim; ``build(params, runtime)``
+    gives the task handler's inputs; ``work(params, manifold)`` gives the key
+    that sets the work and the amount, held to ``limit``."""
 
     keys: Callable[[int], Schema]
+    build: Callable[[Dict[str, Any], "RuntimeScenario"], Any]
     work: Callable[..., Tuple[str, float]] = lambda params, manifold: ("", 0)
     limit: int = 0
     measure: str = ""
+    randomized: bool = False
 
 
 def _geodesic_steps(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
@@ -364,6 +375,46 @@ def _simpson_nodes(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
     return "steps", max(p["steps"], 2 * pieces) + pieces
 
 
+def _structure(p: Dict[str, Any], rt: "RuntimeScenario"):
+    check_samples(p["samples"])
+    return structure(p["kind"], p["t"], p["s"], p["stride"])
+
+
+def _path(p: Dict[str, Any], rt: "RuntimeScenario"):
+    """(path, x_ref); x_ref defaults to the start of the path."""
+    spec = p["path"]
+    if spec["kind"] == "segment":
+        points = (spec["start"], spec["end"])
+        q = SegmentPath(*map(np.array, points))
+    else:
+        points = spec["vertices"]
+        q = PolylinePath(np.array(points))
+    if len(set(points)) == 1:
+        raise DegenerateParameterization("tangent vanishes along the path")
+    x_ref = np.array(p["x_ref"]) if p["x_ref"] is not None \
+        else q.position(np.array(0.0))
+    return q, x_ref
+
+
+def _transform(p: Dict[str, Any], rt: "RuntimeScenario") -> GaugeTransform:
+    if rt.gauge_transform is None:
+        raise ValueError("gauge-check needs a gauge block with an "
+                         "alpha/gamma transform split")
+    apply_transform(rt.field, rt.gauge_config, rt.gauge_transform)
+    # the interior is built when the task runs; each of its nodes lies
+    # between its two corners, so they stand for all in the stencil check
+    rt.field.require_stencil(rt.manifold.interior_corners())
+    return rt.gauge_transform
+
+
+def _outcome(spec: Dict[str, Any]) -> Outcome:
+    if spec["kind"] == "complex":
+        number = BaseNumber.complex(*spec["payload"])
+    else:
+        number = BaseNumber(spec["kind"], spec["payload"])
+    return Outcome(np.array(spec["location"]), number)
+
+
 TASKS: Dict[str, TaskType] = {
     "axioms": TaskType(lambda dim: {
         "kind": (_one_of(*KINDS), REQUIRED),
@@ -371,14 +422,16 @@ TASKS: Dict[str, TaskType] = {
         "s": (_exact, REQUIRED),
         "samples": (_integer, 100),
         "stride": (_integer, None)},
-        lambda p, m: ("samples", p["samples"]), MAX_AXIOM_SAMPLES,
-        "{:.6g} samples"),
+        _structure, lambda p, m: ("samples", p["samples"]),
+        MAX_AXIOM_SAMPLES, "{:.6g} samples", randomized=True),
     "geodesic": TaskType(lambda dim: {
         "position": (partial(_point, count=dim), REQUIRED),
         "velocity": (partial(_numbers, count=dim), REQUIRED),
         "tau_end": (_positive, REQUIRED),
         "h_tau": (_positive, 1e-3),
         "drag_contraction": (_one_of("euclidean", "minkowski"), "euclidean")},
+        lambda p, rt: GeodesicState(np.array(p["position"]),
+                                    np.array(p["velocity"])),
         _geodesic_steps, MAX_GEODESIC_STEPS, "tau_end / h_tau = {:.6g} steps"),
     "pathlen": TaskType(lambda dim: {
         "path": (partial(_tagged, tag="kind", schemas=_PATHS, dim=dim),
@@ -386,7 +439,7 @@ TASKS: Dict[str, TaskType] = {
         "x_ref": (partial(_point, count=dim), None),
         "steps": (partial(_integer, least=2,
                           why="need at least 2 quadrature steps"), 1000)},
-        _simpson_nodes, MAX_POINTS, "{:.6g} Simpson nodes"),
+        _path, _simpson_nodes, MAX_POINTS, "{:.6g} Simpson nodes"),
     # center and momentum are spatial: three axes in 3 and 4 dimensions
     "wavepacket": TaskType(lambda dim: {
         "center": (partial(_numbers, count=3), REQUIRED),
@@ -394,11 +447,13 @@ TASKS: Dict[str, TaskType] = {
         "x0": (partial(_point, count=dim), REQUIRED),
         "momentum": (partial(_numbers, count=3), None),
         "time_slice": (_number, None)},
+        lambda p, rt: slice_time(rt.manifold, p["time_slice"]),
         lambda p, m: ("", math.prod(float(m.grid_shape[a])
                                     for a in m.spatial_axes)),
         MAX_POINTS, "{:.6g} points in the spatial slice of the grid"),
     "gauge-check": TaskType(lambda dim: {
         "stride": (partial(_integer, least=1, why="must be at least 1"), 1)},
+        _transform,
         # the full interior is built before the stride is applied
         lambda p, m: ("", math.prod(float(n - 2) for n in m.grid_shape)),
         MAX_POINTS, "{:.6g} interior grid points"),
@@ -406,7 +461,8 @@ TASKS: Dict[str, TaskType] = {
         "reference": (partial(_parse_outcome, dim=dim), REQUIRED),
         "target": (partial(_parse_outcome, dim=dim), REQUIRED),
         "mode": (_one_of("physical-transmission", "parallel-transform"),
-                 "physical-transmission")}),
+                 "physical-transmission")},
+        lambda p, rt: (_outcome(p["reference"]), _outcome(p["target"]))),
 }
 _TASK_KEYS = {name: row.keys for name, row in TASKS.items()}
 
@@ -460,6 +516,7 @@ class RuntimeScenario:
     field: ScalingField
     gauge_config: Optional[GaugeConfig]
     gauge_transform: Optional[GaugeTransform]
+    inputs: Tuple[Any, ...] = ()  # what each task's build column made
 
 
 def _build_spec(spec: FieldSpec, manifold: Manifold, label: str) -> FieldSpec:
@@ -487,7 +544,7 @@ def _points(value: Any, path: str) -> Iterator[Tuple[str, Point]]:
 
 
 def validate_scenario(scenario: Scenario) -> RuntimeScenario:
-    """Check cross-field requirements and assemble the runtime objects."""
+    """Check cross-field requirements; assemble the runtime and task inputs."""
     block = scenario.manifold
     try:
         if block.nodes is not None:
@@ -532,41 +589,30 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
                             "use central-difference mode")
 
     needs_seed = [i for i, t in enumerate(scenario.tasks)
-                  if t.type in RANDOMIZED_TASKS]
+                  if TASKS[t.type].randomized]
     if needs_seed and scenario.seed is None:
         raise ScenarioValidationError(
             f"scenario.seed: required because tasks"
             f"{needs_seed} draw random samples")
 
+    runtime = RuntimeScenario(scenario, manifold, fieldref, gauge_config,
+                              gauge_transform)
+    inputs = []
     for i, task in enumerate(scenario.tasks):
         label = f"scenario.tasks[{i}]"
-        p = task.params
-        if task.type == "gauge-check" and gauge_transform is None:
-            raise ScenarioValidationError(
-                f"{label}: gauge-check needs a gauge block with an "
-                "alpha/gamma transform split")
-        if (task.type == "wavepacket" and manifold.dimension == 4
-                and p["time_slice"] is None):
-            raise ScenarioValidationError(
-                f"{label}.time_slice: required on a 4-dimensional grid")
-        if task.type == "axioms":
-            if p["samples"] < 3:
-                raise ScenarioValidationError(
-                    f"{label}.samples: need at least 3")
-            if p["kind"] != "natural" and p["stride"]:
-                raise ScenarioValidationError(
-                    f"{label}.stride: only natural structures carry a stride")
-        for where, point in _points(p, label):
+        for where, point in _points(task.params, label):
             if not manifold.contains(np.array(point)):
                 raise ScenarioValidationError(
                     f"{where}: point {list(point)} outside bounds")
         row = TASKS[task.type]
-        key, amount = row.work(p, manifold)
+        key, amount = row.work(task.params, manifold)
         if amount > row.limit:
             where = f"{label}.{key}" if key else label
             raise ScenarioValidationError(
                 f"{where}: {row.measure.format(amount)}, "
                 f"more than the limit of {row.limit}")
-
-    return RuntimeScenario(scenario, manifold, fieldref, gauge_config,
-                           gauge_transform)
+        try:
+            inputs.append(row.build(task.params, runtime))
+        except (ScaleFieldError, ValueError) as err:
+            raise ScenarioValidationError(f"{label}: {err}")
+    return replace(runtime, inputs=tuple(inputs))

@@ -190,15 +190,44 @@ def test_out_of_range_demo_values_are_parse_errors(tmp_path, capsys, keys,
     (1, {"steps": 10 ** 12}, "scenario.tasks[1].steps"),
     (0, {"samples": 10 ** 9}, "scenario.tasks[0].samples"),
     (3, {"manifold": {"nodes": 10 ** 5}}, "scenario.tasks[3]"),
+    # inputs the library constructors refuse
+    (0, {"t": "0"}, "scenario.tasks[0]"),
+    (0, {"s": "0"}, "scenario.tasks[0]"),
+    (0, {"stride": 0}, "scenario.tasks[0]"),
+    (0, {"kind": "natural", "t": "3/2", "s": 2}, "scenario.tasks[0]"),
+    (0, {"kind": "natural", "t": 3, "s": "-2"}, "scenario.tasks[0]"),
+    (0, {"kind": "natural", "t": 3, "s": 2, "stride": 5}, "scenario.tasks[0]"),
+    (5, {"target": {"location": [0.0, 1.0, 0.0, 0.0], "kind": "natural",
+                    "payload": -3}}, "scenario.tasks[5]"),
+    (5, {"target": {"location": [0.0, 1.0, 0.0, 0.0], "kind": "natural",
+                    "payload": "1/2"}}, "scenario.tasks[5]"),
+    (3, {"time_slice": 5.0}, "scenario.tasks[3]"),
+    (4, {"gauge": {"g_i": 0.0}}, "scenario.tasks[4]"),
+    (4, {"gauge": {"h_i": 0.0}}, "scenario.tasks[4]"),
+    # inputs no constructor refuses, checked without building the interior
+    # or integrating the path
+    (4, {"manifold": {"nodes": 2}}, "scenario.tasks[4]"),
+    (1, {"path": {"kind": "segment", "start": [0.0, 0.5, 0.0, 0.0],
+                  "end": [0.0, 0.5, 0.0, 0.0]}}, "scenario.tasks[1]"),
+    (1, {"path": {"kind": "polyline", "vertices": [[0.0, 0.5, 0.0, 0.0]] * 3}},
+     "scenario.tasks[1]"),
+    (4, {"fields": {"gradient_mode": "central", "gradient_step": 3.0}},
+     "scenario.tasks[4]"),
 ], ids=["start-outside", "tiny-step", "just-over-the-limit", "ratio-overflows",
         "path-end-outside", "vertex-outside", "x-ref-outside",
         "packet-x0-outside", "compare-location-outside", "simpson-nodes",
-        "axiom-samples", "packet-slice"])
+        "axiom-samples", "packet-slice", "axioms-t-zero", "axioms-s-zero",
+        "rational-stride", "natural-fractional-t", "natural-negative-s",
+        "natural-stride-mismatch", "natural-negative-payload",
+        "natural-fractional-payload", "time-slice-outside", "g-i-zero",
+        "h-i-zero", "no-interior-node", "point-segment", "point-polyline",
+        "gradient-step-over-margin"])
 def test_geodesics_run_would_refuse_or_not_finish_are_validation_errors(
         tmp_path, capsys, index, changes, where):
     doc = json.loads(DEMO.read_text(encoding="utf-8"))
     changes = dict(changes)
-    doc["manifold"].update(changes.pop("manifold", {}))
+    for block in ("manifold", "fields", "gauge"):
+        doc[block].update(changes.pop(block, {}))
     doc["tasks"][index].update(changes)
     path = write(tmp_path, doc)
     # validate first: at a step limit that does not hold, run would not end
@@ -369,6 +398,18 @@ def test_axioms_subcommand_rejects_samples_out_of_range_before_work(
     assert main(["axioms", "--kind", "rational", "--t", "3/2", "--s", "2",
                  "--samples", str(samples)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("t", ["1e4301", "1e99999999", "1e-99999999"])
+def test_axioms_subcommand_rejects_huge_decimal_exponents_before_work(
+        monkeypatch, capsys, t):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the axiom suite ran")
+
+    monkeypatch.setattr("scalefield.cli.axiom_suite", no_work)
+    assert main(["axioms", "--kind", "rational", "--t", t, "--s", "2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: decimal exponent ")
 
 
 def test_console_script_round_trip(tmp_path):

@@ -282,6 +282,14 @@ def test_wavepacket_on_a_4d_grid_needs_a_time_slice():
     ok(doc)
 
 
+def test_time_slice_on_a_3d_grid_is_a_validation_error():
+    doc = base()
+    doc["tasks"] = [{"type": "wavepacket", "center": [0.0, 0.0, 0.0],
+                     "width": 0.5, "x0": [0.0, 0.0, 0.0], "time_slice": 0.0}]
+    invalid(doc, re.escape("scenario.tasks[0]: time_slice only applies to "
+                           "4-dimensional grids"))
+
+
 def test_tabulated_values_must_match_the_grid_shape():
     doc = base()
     doc["manifold"]["nodes"] = 3
@@ -356,6 +364,7 @@ def test_stride_is_a_natural_only_knob():
     doc["tasks"][0]["kind"] = "natural"
     doc["tasks"][0]["t"] = 3
     doc["tasks"][0]["s"] = 2
+    doc["tasks"][0]["stride"] = 3  # a natural stride must equal t
     ok(doc)
 
 
@@ -409,7 +418,13 @@ def _deep_combination(depth):
      2, "scenario.fields.theta.constant: number must be finite"),
     (json.dumps(base()).replace('"nodes": 9', '"spacing": 1e-320'),
      3, "scenario.manifold: "),
-], ids=["integer-digits", "nesting", "int64", "huge-integer", "tiny-spacing"])
+    (json.dumps({**base(), "seed": 1,
+                 "tasks": [{"type": "axioms", "kind": "rational",
+                            "t": "1e99999999", "s": 2}]}),
+     2, "scenario.tasks[0].t: not an exact number: decimal exponent "
+        "99999999 beyond the limit of 4300"),
+], ids=["integer-digits", "nesting", "int64", "huge-integer", "tiny-spacing",
+        "decimal-exponent"])
 def test_extreme_inputs_are_parse_or_validation_errors(tmp_path, capsys, text,
                                                        code, fragment):
     target = tmp_path / "scenario.json"
