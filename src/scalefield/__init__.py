@@ -29,7 +29,6 @@ from .fields import (
     FieldSample,
     FieldSpec,
     GaussianField,
-    Level,
     LinearField,
     RadialPolynomial,
     ScalingField,
@@ -82,7 +81,6 @@ from .structures import (
     ScaledStructure,
     ScaledValue,
     ScaledVectorSpace,
-    ScalingFactor,
     group_action,
     number_of,
     relabel,

@@ -1,11 +1,13 @@
 """Exact scalar arithmetic for scaled number structures.
 
-Rational and real-kind quantities are plain ``fractions.Fraction`` values.
-Strings such as "3/2" or "0.125" are read exactly: scenario and CLI input
-goes through ``parse_fraction``, library input through ``as_exact``.  A
-finite decimal is an exact rational, so there is no precision setting.
-Complex quantities are ``ComplexFraction`` pairs of Fractions with exact
-field arithmetic.
+Rational and real-kind quantities are plain ``fractions.Fraction`` values,
+and so are a structure's factor t and level s (or ComplexFractions), with no
+wrapper class; a packet's level c is a plain number.  Every string, such as
+"3/2" or "0.125", is read exactly by ``parse_fraction``: scenario and CLI
+input call it directly, library input reaches it through ``as_exact``, so
+there is one parser and one exponent bound.  A finite decimal is an exact
+rational, so there is no precision setting.  Complex quantities are
+``ComplexFraction`` pairs of Fractions with exact field arithmetic.
 
 ``ComplexFraction`` speaks the same number protocol as ``Fraction``: the
 arithmetic and comparison operators (reflected ones included, so mixed
@@ -17,7 +19,7 @@ expression such as ``t / s * v`` serves every kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Union
 
@@ -114,10 +116,13 @@ def as_complex(x: Scalar) -> ComplexFraction:
 
 
 def as_exact(x) -> Scalar:
-    """``x`` as an exact scalar: ComplexFractions pass, the rest go through
-    ``Fraction`` (ints, floats, Decimals and "a/b" strings, all exactly)."""
+    """``x`` as an exact scalar: ComplexFractions pass, strings go through
+    ``parse_fraction`` and the rest through ``Fraction`` (ints, floats and
+    Decimals, all exactly)."""
     if isinstance(x, ComplexFraction):
         return x
+    if isinstance(x, str):
+        return parse_fraction(x)
     return Fraction(x)
 
 
@@ -132,7 +137,10 @@ def parse_fraction(text: str) -> Fraction:
         num, den = s.split("/", 1)
         return Fraction(int(num.strip()), int(den.strip()))
     if "." in s or "e" in s or "E" in s:
-        d = Decimal(s)
+        try:
+            d = Decimal(s)
+        except InvalidOperation:
+            raise ValueError(f"invalid decimal {text!r}") from None
         exponent = d.as_tuple().exponent
         if abs(exponent) > MAX_EXPONENT:
             raise ValueError(f"decimal exponent {exponent} beyond the limit "

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .errors import BoundaryPoint, ScenarioValidationError, ZeroLevel
+from .errors import BoundaryPoint, ScenarioValidationError
 from .manifold import Manifold
 
 
@@ -261,17 +261,6 @@ class AxisDerivativeField(FieldSpec):
     @property
     def is_constant(self) -> bool:
         return self.base.is_constant
-
-
-@dataclass(frozen=True)
-class Level:
-    """A nonzero scale level attached to local structures."""
-
-    value: complex = 1.0
-
-    def __post_init__(self) -> None:
-        if complex(self.value) == 0:
-            raise ZeroLevel("level must be nonzero")
 
 
 @dataclass(frozen=True, eq=False)

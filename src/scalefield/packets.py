@@ -15,8 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import OutOfBounds
-from .fields import Level, ScalingField, connection_factor
+from .errors import OutOfBounds, ZeroLevel
+from .fields import ScalingField, connection_factor
 from .manifold import Manifold
 
 
@@ -117,8 +117,8 @@ def scale_wave_packet(psi: WavePacket, field: ScalingField, x0,
     exponent difference, so c cancels identically and the output bytes do
     not depend on it.
     """
-    if c is not None and not isinstance(c, Level):
-        c = Level(c)
+    if c is not None and complex(c) == 0:
+        raise ZeroLevel("level must be nonzero")
     if psi.manifold != field.manifold:
         raise ValueError("packet and field live on different manifolds")
     x0 = field.manifold.require_inside(x0)

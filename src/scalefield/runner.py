@@ -137,9 +137,7 @@ def _run_wavepacket(p, time_slice, rt: RuntimeScenario, seed: Optional[int]):
     spatial = psi.points()[..., list(rt.manifold.spatial_axes)].reshape(-1, 3)
     amp = scaled.amplitudes.reshape(-1)
     header = ("w1", "w2", "w3", "re_psi", "im_psi")
-    rows = [(float(w[0]), float(w[1]), float(w[2]),
-             float(a.real), float(a.imag))
-            for w, a in zip(spatial, amp)]
+    rows = np.column_stack((spatial, amp.real, amp.imag)).tolist()
     results = {
         "norm_squared_before": packet_norm_squared(psi),
         "norm_squared_after": packet_norm_squared(scaled),
@@ -152,7 +150,7 @@ def _run_gauge_check(p, transform, rt: RuntimeScenario, seed: Optional[int]):
     res = invariance_residual(rt.field, rt.gauge_config, transform, pts)
     dim = rt.manifold.dimension
     header = (*(f"x{m}" for m in range(dim)), "residual")
-    rows = [(*map(float, x), float(r)) for x, r in zip(pts, res)]
+    rows = np.column_stack((pts, res)).tolist()
     results = {
         "points": int(pts.shape[0]),
         "max_residual": float(np.max(res)),

@@ -554,17 +554,14 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
     except (ValueError, OverflowError) as err:
         raise ScenarioValidationError(f"scenario.manifold: {err}")
 
+    theta = _build_spec(scenario.fields.theta, manifold,
+                        "scenario.fields.theta")
+    phi = _build_spec(scenario.fields.phi, manifold, "scenario.fields.phi")
     try:
-        theta = _build_spec(scenario.fields.theta, manifold,
-                            "scenario.fields.theta")
-        phi = _build_spec(scenario.fields.phi, manifold,
-                          "scenario.fields.phi")
         fieldref = ScalingField(manifold, theta, phi,
                                 gradient_mode=scenario.fields.gradient_mode,
                                 gradient_step=scenario.fields.gradient_step)
     except (ValueError, ScaleFieldError) as err:
-        if isinstance(err, ScenarioValidationError):
-            raise
         raise ScenarioValidationError(f"scenario.fields: {err}")
 
     gauge_config = gauge_transform = None

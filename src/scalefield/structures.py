@@ -33,44 +33,21 @@ from .errors import (
     OrderUndefined,
     ZeroScaling,
 )
-from .exact import (
-    ComplexFraction,
-    Scalar,
-    as_complex,
-    as_exact,
-    parse_fraction,
-)
+from .exact import ComplexFraction, Scalar, as_complex, as_exact
 
 KINDS = ("natural", "rational", "real", "complex")
 
 
-@dataclass(frozen=True)
-class ScalingFactor:
-    """A nonzero exact scalar used as a structure factor or level."""
-
-    value: Scalar
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if isinstance(v, int):
-            v = Fraction(v)
-            object.__setattr__(self, "value", v)
-        if not isinstance(v, (Fraction, ComplexFraction)):
-            raise TypeError(f"scaling factor must be exact, got {type(v).__name__}")
-        if v == 0:
-            raise ZeroScaling("scaling factor must be nonzero")
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-FactorLike = Union[ScalingFactor, Scalar]
-
-
-def _factor_value(f: FactorLike) -> Scalar:
-    if isinstance(f, ScalingFactor):
-        return f.value
-    return ScalingFactor(f).value
+def _nonzero(x) -> Scalar:
+    """``x`` as a nonzero exact scalar (a structure factor, level or group
+    element): ints become Fractions, anything inexact is refused."""
+    if isinstance(x, int):
+        x = Fraction(x)
+    if not isinstance(x, (Fraction, ComplexFraction)):
+        raise TypeError(f"scaling factor must be exact, got {type(x).__name__}")
+    if x == 0:
+        raise ZeroScaling("scaling factor must be nonzero")
+    return x
 
 
 @dataclass(frozen=True)
@@ -88,11 +65,10 @@ class BaseNumber:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        p = self.payload
+        p = as_exact(self.payload)
         if self.kind == "complex":
             object.__setattr__(self, "payload", as_complex(p))
         else:
-            p = as_exact(p)
             if p.imag != 0:
                 raise NotInBaseSet(f"{self.kind} payload must be real")
             p = p.real
@@ -106,28 +82,31 @@ class BaseNumber:
 
     @staticmethod
     def rational(value: Union[str, int, Fraction]) -> "BaseNumber":
-        if isinstance(value, str):
-            value = parse_fraction(value)
-        return BaseNumber("rational", Fraction(value))
+        return BaseNumber("rational", value)
 
     @staticmethod
     def complex(re, im=0) -> "BaseNumber":
-        return BaseNumber("complex", ComplexFraction(Fraction(re), Fraction(im)))
+        return BaseNumber("complex", ComplexFraction(as_exact(re), as_exact(im)))
 
 
 @dataclass(frozen=True)
 class ScaledStructure:
-    """Structure of a given kind with internal factor t represented at level s."""
+    """Structure of a given kind with internal factor t represented at level s.
+
+    t and s are nonzero exact scalars; an int is stored as a Fraction.
+    """
 
     kind: str
-    factor_t: ScalingFactor
-    level_s: ScalingFactor
+    factor_t: Scalar
+    level_s: Scalar
     base_set_stride: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        t, s = self.factor_t.value, self.level_s.value
+        t, s = _nonzero(self.factor_t), _nonzero(self.level_s)
+        object.__setattr__(self, "factor_t", t)
+        object.__setattr__(self, "level_s", s)
         if self.kind != "complex":
             if t.imag != 0 or s.imag != 0:
                 raise ZeroScaling(f"{self.kind} structures need real factors")
@@ -148,18 +127,14 @@ class ScaledStructure:
     @property
     def ratio(self) -> Scalar:
         """t/s, the factor relating level-s values to this structure's values."""
-        return self.factor_t.value / self.level_s.value
+        return self.factor_t / self.level_s
 
     @property
     def order_defined(self) -> bool:
         return self.kind != "complex" and self.ratio.imag == 0
 
 
-def structure(kind: str, t: FactorLike, s: FactorLike,
-              stride: Optional[int] = None) -> ScaledStructure:
-    """Convenience constructor accepting raw exact scalars for t and s."""
-    return ScaledStructure(kind, ScalingFactor(_factor_value(t)),
-                           ScalingFactor(_factor_value(s)), stride)
+structure = ScaledStructure  # the short name callers build structures by
 
 
 @dataclass(frozen=True)
@@ -170,13 +145,13 @@ class ScaledValue:
     value: Scalar
 
 
-def value_of(a: BaseNumber, s: FactorLike) -> ScaledValue:
+def value_of(a: BaseNumber, s: Scalar) -> ScaledValue:
     """Value of base number ``a`` in the structure with factor s (own level).
 
     Naturals: the member "m*s" of the stride-s base set has value m.  Other
     kinds: val_s(a) = payload / s.
     """
-    sv = _factor_value(s)
+    sv = _nonzero(s)
     st = structure(a.kind, sv, sv)
     q = a.payload / sv
     if a.kind == "natural" and q.denominator != 1:
@@ -184,7 +159,7 @@ def value_of(a: BaseNumber, s: FactorLike) -> ScaledValue:
     return ScaledValue(st, q)
 
 
-def number_of(v: Union[ScaledValue, Scalar], s: FactorLike,
+def number_of(v: Union[ScaledValue, Scalar], s: Scalar,
               kind: Optional[str] = None) -> BaseNumber:
     """Base number whose value at factor s is ``v`` (inverse of value_of)."""
     if isinstance(v, ScaledValue):
@@ -194,7 +169,7 @@ def number_of(v: Union[ScaledValue, Scalar], s: FactorLike,
         if kind is None:
             raise TypeError("kind required when passing a raw scalar")
         raw = v
-    sv = _factor_value(s)
+    sv = _nonzero(s)
     raw = as_exact(raw)
     if kind == "complex":
         return BaseNumber(kind, raw * sv)
@@ -208,34 +183,33 @@ def number_of(v: Union[ScaledValue, Scalar], s: FactorLike,
     return BaseNumber(kind, raw * sv)
 
 
-def relabel(v: Union[ScaledValue, Scalar], t: FactorLike, s: FactorLike,
+def relabel(v: Union[ScaledValue, Scalar], t: Scalar, s: Scalar,
             kind: str = "rational") -> ScaledValue:
     """Re-express a level-t value at level s: v -> (t/s) v.
 
     Composing relabel(t -> s') with relabel(s' -> s) equals the direct map,
     and relabel(v, t, t) is the identity.
     """
-    fs = s if isinstance(s, ScalingFactor) else ScalingFactor(s)
-    tv, sv = _factor_value(t), fs.value
+    tv, sv = _nonzero(t), _nonzero(s)
     if isinstance(v, ScaledValue):
         kind = v.structure.kind
-        if v.structure.level_s.value != tv:
+        if v.structure.level_s != tv:
             raise NotRepresentable(
                 f"value lives at level {v.structure.level_s}, not {tv}"
             )
         raw = v.value
     else:
         raw = v
-    return ScaledValue(ScaledStructure(kind, fs, fs), tv / sv * as_exact(raw))
+    return ScaledValue(ScaledStructure(kind, sv, sv), tv / sv * as_exact(raw))
 
 
-def group_action(t: FactorLike, level: FactorLike) -> ScalingFactor:
+def group_action(t: Scalar, level: Scalar) -> Scalar:
     """Action of the scaling group on levels: t sends level c to t*c.
 
     The group is abelian; acting by t then u equals acting by u*t, and
     acting by the reciprocal of a level maps that level to 1.
     """
-    return ScalingFactor(_factor_value(t) * _factor_value(level))
+    return _nonzero(t) * _nonzero(level)
 
 
 @dataclass(frozen=True)

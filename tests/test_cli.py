@@ -536,7 +536,7 @@ def test_fuzz_base_covers_every_task_type():
     assert len(FUZZ_POINTS) == 8
 
 
-@settings(max_examples=100, derandomize=True,
+@settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=fuzzed_scenarios())
 def test_fuzzed_tasks_end_with_a_documented_exit_code(doc):

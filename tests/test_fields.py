@@ -16,7 +16,6 @@ from scalefield.fields import (
     ConstantField,
     FieldSample,
     GaussianField,
-    Level,
     LinearField,
     RadialPolynomial,
     ScalingField,
@@ -31,6 +30,7 @@ from scalefield.gauge import (
     gauge_covariant_derivative,
 )
 from scalefield.manifold import Manifold
+from scalefield.packets import gaussian_packet, scale_wave_packet
 
 
 def cube(lo=-2.0, hi=2.0, nodes=17, dim=3):
@@ -222,8 +222,11 @@ def test_tabulated_requires_central_mode():
 
 
 def test_level_must_be_nonzero():
+    m = cube(nodes=5)
+    f = ScalingField(m, ConstantField(0.0))
+    psi = gaussian_packet(m, (0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ZeroLevel):
-        Level(0.0)
+        scale_wave_packet(psi, f, np.zeros(3), c=0.0)
 
 
 def test_field_sample_shape_checked():

@@ -349,6 +349,22 @@ def test_tabulated_transform_needs_central_gradients(name, tmp_path):
     ok(doc)
 
 
+@pytest.mark.parametrize("name", ["theta", "phi"])
+def test_tabulated_field_needs_central_gradients(name, tmp_path, capsys):
+    doc = base()
+    doc["manifold"]["nodes"] = 3
+    doc["fields"][name] = {"family": "tabulated",
+                           "values": [[[0.5] * 3] * 3] * 3}
+    message = f"scenario.fields: {name} has no analytic gradient"
+    invalid(doc, re.escape(message))
+    target = tmp_path / "scenario.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(target)]) == 3
+    assert f"validation error: {message}" in capsys.readouterr().err
+    doc["fields"]["gradient_mode"] = "central"
+    ok(doc)
+
+
 def test_manifold_construction_errors_become_validation_errors():
     doc = base()
     doc["manifold"]["bounds"][0] = [2.0, -2.0]

@@ -74,6 +74,22 @@ def test_zero_scale_rejected():
         value_of(BaseNumber.rational(1), 0)
 
 
+def test_exact_scalars_enter_through_one_checked_path():
+    with pytest.raises(TypeError, match="must be exact"):
+        structure("rational", 1.5, 2)
+    with pytest.raises(TypeError, match="must be exact"):
+        relabel(F(1), 0.5, 1)
+    assert structure("rational", 5, 2).factor_t == F(5)
+    assert type(structure("rational", 5, 2).factor_t) is F
+    # strings have one parser, with one exponent bound
+    for make in (lambda: BaseNumber("rational", "1e5000"),
+                 lambda: relabel("1e5000", 1, 1)):
+        with pytest.raises(ValueError, match="limit of 4300"):
+            make()
+    with pytest.raises(ValueError, match="invalid decimal"):
+        BaseNumber("rational", "1e")
+
+
 def test_zero_is_scale_fixed():
     for s in (F(1), F(2), F(-3), F(1, 7)):
         assert value_of(BaseNumber.rational(0), s).value == 0
@@ -212,12 +228,12 @@ def test_scaled_mul_tracks_underlying_product(v, t, s):
 
 def test_action_by_reciprocal_level_is_unit():
     c = F(3, 7)
-    assert group_action(1 / c, c).value == 1
+    assert group_action(1 / c, c) == 1
 
 
 def test_action_composition_is_abelian():
-    a = group_action(F(2), group_action(F(3, 5), F(7))).value
-    b = group_action(F(3, 5), group_action(F(2), F(7))).value
+    a = group_action(F(2), group_action(F(3, 5), F(7)))
+    b = group_action(F(3, 5), group_action(F(2), F(7)))
     assert a == b == F(42, 5)
 
 
@@ -228,8 +244,8 @@ def test_action_rejects_zero():
 
 @given(t=nonzero_fractions(), u=nonzero_fractions(), c=nonzero_fractions())
 def test_action_is_group_homomorphism(t, u, c):
-    via_product = group_action(t * u, c).value
-    via_steps = group_action(t, group_action(u, c)).value
+    via_product = group_action(t * u, c)
+    via_steps = group_action(t, group_action(u, c))
     assert via_product == via_steps
 
 
