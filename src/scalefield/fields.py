@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import BoundaryPoint, ScenarioValidationError
 from .manifold import Manifold
@@ -179,6 +178,9 @@ class TabulatedField(FieldSpec):
         if np.any(np.isnan(vals)):
             raise ScenarioValidationError("tabulated values contain NaN")
         object.__setattr__(self, "values", vals)
+        # scipy is imported here, not at module top: most runs never build
+        # a tabulated field and should not pay its import on every start
+        from scipy.interpolate import RegularGridInterpolator
         interp = RegularGridInterpolator(
             tuple(self.manifold.axis_nodes(a)
                   for a in range(self.manifold.dimension)),

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateParameterization
 from .fields import ScalingField
@@ -125,7 +124,7 @@ class SplinePath(Path):
     samples: np.ndarray
     start_velocity: Optional[np.ndarray] = None
     end_velocity: Optional[np.ndarray] = None
-    _spline: CubicSpline = field(init=False, repr=False)
+    _spline: Callable[..., np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.samples, dtype=float)
@@ -140,6 +139,8 @@ class SplinePath(Path):
             bc = "natural"
         else:
             raise ValueError("give both end velocities or neither")
+        # imported on first use, as in fields.TabulatedField
+        from scipy.interpolate import CubicSpline
         object.__setattr__(self, "_spline", CubicSpline(s, pts, bc_type=bc))
 
     def position(self, s: np.ndarray) -> np.ndarray:
