@@ -106,7 +106,7 @@ def _axiom_table(ops: ScaledOps):
         table.append(("multiplicative_inverse", 1,
                       lambda a: a == 0
                       or ops.mul(a, ops.inv(a)) == ops.identity))
-    if ops.lt is not None and st.order_defined:
+    if st.order_defined:
         def order_translation(a: Scalar, b: Scalar, c: Scalar) -> bool:
             if ops.lt(a, b):
                 return ops.lt(ops.add(a, c), ops.add(b, c))

@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="value level s, e.g. 2 or 1/3")
     ax.add_argument("--samples", type=int, default=100)
     ax.add_argument("--seed", type=int, default=0)
-    ax.add_argument("--stride", type=int,
-                    help="base-set stride for natural structures")
     return parser
 
 
@@ -75,7 +73,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
             raise ValueError(f"--samples must be 3 to {MAX_AXIOM_SAMPLES}, "
                              f"got {args.samples}")
         st = structure(args.kind, parse_fraction(args.t),
-                       parse_fraction(args.s), args.stride)
+                       parse_fraction(args.s))
         report = axiom_suite(st, samples=args.samples, seed=args.seed)
     except (ScaleFieldError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)

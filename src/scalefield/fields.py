@@ -131,6 +131,8 @@ class RadialPolynomial(FieldSpec):
 
     def __post_init__(self) -> None:
         coefficients = tuple(float(c) for c in self.coefficients)
+        if not coefficients:
+            raise ValueError("need at least one coefficient")
         object.__setattr__(self, "coefficients", coefficients)
         c = np.array(coefficients)
         object.__setattr__(self, "_c", c)

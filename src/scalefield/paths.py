@@ -15,7 +15,7 @@ while analytic paths keep the clean fourth-order error decay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,14 +116,14 @@ class PolylinePath(Path):
 class SplinePath(Path):
     """Cubic spline through uniformly spaced samples.
 
-    End slopes are clamped when given (in d position / d s units); otherwise
-    the spline is natural.  C2 everywhere, so it is treated as one smooth
-    piece by the quadrature.
+    End slopes are clamped to the given velocities (in d position / d s
+    units).  C2 everywhere, so it is treated as one smooth piece by the
+    quadrature.
     """
 
     samples: np.ndarray
-    start_velocity: Optional[np.ndarray] = None
-    end_velocity: Optional[np.ndarray] = None
+    start_velocity: np.ndarray
+    end_velocity: np.ndarray
     _spline: Callable[..., np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -132,13 +132,8 @@ class SplinePath(Path):
             raise ValueError("need at least two samples of equal dimension")
         object.__setattr__(self, "samples", pts)
         s = np.linspace(0.0, 1.0, pts.shape[0])
-        if self.start_velocity is not None and self.end_velocity is not None:
-            bc = ((1, np.asarray(self.start_velocity, dtype=float)),
-                  (1, np.asarray(self.end_velocity, dtype=float)))
-        elif self.start_velocity is None and self.end_velocity is None:
-            bc = "natural"
-        else:
-            raise ValueError("give both end velocities or neither")
+        bc = ((1, np.asarray(self.start_velocity, dtype=float)),
+              (1, np.asarray(self.end_velocity, dtype=float)))
         # imported on first use, as in fields.TabulatedField
         from scipy.interpolate import CubicSpline
         object.__setattr__(self, "_spline", CubicSpline(s, pts, bc_type=bc))
@@ -213,14 +208,18 @@ class PerturbedPath(Path):
 # -- quadrature --------------------------------------------------------------
 
 
-def _piece_steps(breaks: Sequence[float], steps: int) -> list:
-    """Split a total Simpson budget across pieces, even and at least 2 each."""
+def simpson_pieces(q: Path, steps: int) -> List[Tuple[float, float, int]]:
+    """(a, b, n) for each smooth piece [a, b] of q: a total Simpson budget of
+    `steps` intervals split by the pieces' lengths in s, even and at least 2
+    each.  The quadrature evaluates n + 1 nodes per piece."""
+    breaks = q.breakpoints()
     out = []
     for a, b in zip(breaks, breaks[1:]):
         n = int(round(steps * (b - a)))
         n += n % 2
-        out.append(max(2, n))
+        out.append((a, b, max(2, n)))
     return out
+
 
 def _simpson_nodes(a: float, b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
     s = np.linspace(a, b, n + 1)
@@ -236,11 +235,10 @@ def _integrate(q: Path, m: Manifold, steps: int,
                ) -> float:
     if steps < 2:
         raise ValueError("need at least 2 quadrature steps")
-    breaks = q.breakpoints()
     eta = m.metric_diagonal
     total = 0.0
     max_speed = 0.0
-    for (a, b), n in zip(zip(breaks, breaks[1:]), _piece_steps(breaks, steps)):
+    for a, b, n in simpson_pieces(q, steps):
         s, w = _simpson_nodes(a, b, n)
         v = q.piece_velocity(s, a, b)
         g = np.sqrt(np.abs(np.sum(eta * v * v, axis=-1)))
@@ -302,22 +300,17 @@ class VariationalReport:
 def variational_check(q_star: Path, fieldref: ScalingField,
                       perturbations: int = 100, amplitude: float = 1e-2,
                       seed: int = 0, steps: int = 2000,
-                      axes: Optional[Sequence[int]] = None,
-                      x_ref=None, tolerance: float = 1e-7,
-                      ) -> VariationalReport:
+                      tolerance: float = 1e-7) -> VariationalReport:
     """Compare q_star's scaled length against random endpoint-fixed rivals.
 
     Rivals add the first PERTURBATION_MODES sine modes with uniform random
-    coefficients of size `amplitude` on the chosen axes (the spatial axes
-    when none are given).  A minimizing path beats every rival up to the
-    quadrature tolerance.  The reference point (default: the path's start)
-    rescales every length by the same factor, so the verdict ignores it.
+    coefficients of size `amplitude` on the manifold's spatial axes.  A
+    minimizing path beats every rival up to the quadrature tolerance.
+    Lengths are taken relative to the path's start; another reference point
+    would rescale every length by the same factor.
     """
-    if x_ref is None:
-        x_ref = q_star.position(np.array(0.0))
-    if axes is None:
-        axes = fieldref.manifold.spatial_axes
-    axes = tuple(int(a) for a in axes)
+    x_ref = q_star.position(np.array(0.0))
+    axes = fieldref.manifold.spatial_axes
     rng = np.random.default_rng(seed)
     base = scaled_path_length(q_star, fieldref, x_ref, steps)
     lengths = []

@@ -54,7 +54,7 @@ from .geodesics import GeodesicState
 from .manifold import Manifold
 from .outcomes import Outcome
 from .packets import slice_time
-from .paths import PolylinePath, SegmentPath
+from .paths import PolylinePath, SegmentPath, simpson_pieces
 from .structures import KINDS, BaseNumber, structure
 
 # work budgets of one task, checked by validate_scenario: RK4 steps
@@ -194,6 +194,12 @@ def _axes(node: Any, path: str, dim: int) -> Tuple[int, ...]:
     return axes
 
 
+def _coefficients(node: Any, path: str) -> Tuple[float, ...]:
+    if not _array(node, path):
+        raise _fail(path, "need at least one coefficient")
+    return _numbers(node, path)
+
+
 def _terms(node: Any, path: str, dim: int) -> Tuple[Tuple[float, FieldSpec], ...]:
     term = {"weight": (_number, REQUIRED),
             "spec": (partial(build_field_spec, dimension=dim), REQUIRED)}
@@ -212,8 +218,8 @@ _FAMILIES = {
         "center": (partial(_numbers, count=dim), REQUIRED),
         "width": (_positive, REQUIRED),
         "axes": (partial(_axes, dim=dim), None)}),
-    "radial_polynomial": (RadialPolynomial,
-                          lambda dim: {"coefficients": (_numbers, REQUIRED)}),
+    "radial_polynomial": (RadialPolynomial, lambda dim: {
+        "coefficients": (_coefficients, REQUIRED)}),
     "combination": (CombinationField,
                     lambda dim: {"terms": (partial(_terms, dim=dim), REQUIRED)}),
     # the value grid is checked against the manifold at build time
@@ -368,29 +374,30 @@ def _geodesic_steps(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
     return "h_tau", steps if np.isinf(steps) else round(steps)
 
 
+def _path_of(spec: Dict[str, Any]):
+    if spec["kind"] == "segment":
+        return SegmentPath(np.array(spec["start"]), np.array(spec["end"]))
+    return PolylinePath(np.array(spec["vertices"]))
+
+
 def _simpson_nodes(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
-    # the quadrature splits steps over the polyline pieces, at least 2 each
-    path = p["path"]
-    pieces = len(path["vertices"]) - 1 if path["kind"] == "polyline" else 1
-    return "steps", max(p["steps"], 2 * pieces) + pieces
+    pieces = simpson_pieces(_path_of(p["path"]), p["steps"])
+    return "steps", sum(n + 1 for _, _, n in pieces)
 
 
 def _structure(p: Dict[str, Any], rt: "RuntimeScenario"):
     check_samples(p["samples"])
-    return structure(p["kind"], p["t"], p["s"], p["stride"])
+    return structure(p["kind"], p["t"], p["s"])
 
 
 def _path(p: Dict[str, Any], rt: "RuntimeScenario"):
     """(path, x_ref); x_ref defaults to the start of the path."""
     spec = p["path"]
-    if spec["kind"] == "segment":
-        points = (spec["start"], spec["end"])
-        q = SegmentPath(*map(np.array, points))
-    else:
-        points = spec["vertices"]
-        q = PolylinePath(np.array(points))
+    points = spec["vertices"] if spec["kind"] == "polyline" \
+        else (spec["start"], spec["end"])
     if len(set(points)) == 1:
         raise DegenerateParameterization("tangent vanishes along the path")
+    q = _path_of(spec)
     x_ref = np.array(p["x_ref"]) if p["x_ref"] is not None \
         else q.position(np.array(0.0))
     return q, x_ref
@@ -420,8 +427,7 @@ TASKS: Dict[str, TaskType] = {
         "kind": (_one_of(*KINDS), REQUIRED),
         "t": (_exact, REQUIRED),
         "s": (_exact, REQUIRED),
-        "samples": (_integer, 100),
-        "stride": (_integer, None)},
+        "samples": (_integer, 100)},
         _structure, lambda p, m: ("samples", p["samples"]),
         MAX_AXIOM_SAMPLES, "{:.6g} samples", randomized=True),
     "geodesic": TaskType(lambda dim: {

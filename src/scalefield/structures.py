@@ -94,12 +94,12 @@ class ScaledStructure:
     """Structure of a given kind with internal factor t represented at level s.
 
     t and s are nonzero exact scalars; an int is stored as a Fraction.
+    Naturals need positive integers, and t is the stride of their base set.
     """
 
     kind: str
     factor_t: Scalar
     level_s: Scalar
-    base_set_stride: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -114,15 +114,6 @@ class ScaledStructure:
             for name, v in (("factor", t), ("level", s)):
                 if v.real <= 0 or v.real.denominator != 1:
                     raise ZeroScaling(f"natural {name} must be a positive integer")
-            stride = int(t.real)
-            if self.base_set_stride is None:
-                object.__setattr__(self, "base_set_stride", stride)
-            elif self.base_set_stride != stride:
-                raise NotInBaseSet(
-                    f"stride {self.base_set_stride} does not match factor {stride}"
-                )
-        elif self.base_set_stride is not None:
-            raise NotInBaseSet("base_set_stride applies to naturals only")
 
     @property
     def ratio(self) -> Scalar:

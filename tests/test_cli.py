@@ -193,10 +193,8 @@ def test_out_of_range_demo_values_are_parse_errors(tmp_path, capsys, keys,
     # inputs the library constructors refuse
     (0, {"t": "0"}, "scenario.tasks[0]"),
     (0, {"s": "0"}, "scenario.tasks[0]"),
-    (0, {"stride": 0}, "scenario.tasks[0]"),
     (0, {"kind": "natural", "t": "3/2", "s": 2}, "scenario.tasks[0]"),
     (0, {"kind": "natural", "t": 3, "s": "-2"}, "scenario.tasks[0]"),
-    (0, {"kind": "natural", "t": 3, "s": 2, "stride": 5}, "scenario.tasks[0]"),
     (5, {"target": {"location": [0.0, 1.0, 0.0, 0.0], "kind": "natural",
                     "payload": -3}}, "scenario.tasks[5]"),
     (5, {"target": {"location": [0.0, 1.0, 0.0, 0.0], "kind": "natural",
@@ -217,8 +215,7 @@ def test_out_of_range_demo_values_are_parse_errors(tmp_path, capsys, keys,
         "path-end-outside", "vertex-outside", "x-ref-outside",
         "packet-x0-outside", "compare-location-outside", "simpson-nodes",
         "axiom-samples", "packet-slice", "axioms-t-zero", "axioms-s-zero",
-        "rational-stride", "natural-fractional-t", "natural-negative-s",
-        "natural-stride-mismatch", "natural-negative-payload",
+        "natural-fractional-t", "natural-negative-s", "natural-negative-payload",
         "natural-fractional-payload", "time-slice-outside", "g-i-zero",
         "h-i-zero", "no-interior-node", "point-segment", "point-polyline",
         "gradient-step-over-margin"])

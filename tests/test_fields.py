@@ -106,6 +106,11 @@ def test_radial_polynomial_gradient_matches_finite_difference():
     assert np.array_equal(spec.gradient(np.zeros(3)), np.zeros(3))
 
 
+def test_radial_polynomial_needs_a_coefficient():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        RadialPolynomial(())
+
+
 def test_connection_factor_along_unit_gradient():
     f = ScalingField(cube(), LinearField((1.0, 0.0, 0.0)))
     ratio = complex(connection_factor(f, np.array([1.0, 0.0, 0.0]), np.zeros(3)))

@@ -28,7 +28,7 @@ GOLDEN = {
     "05_compare.csv":
         "7705e88a8e4e40b33f47cd2cf842b4cd84506ebd227928269b204d30df3e241f",
     "summary.json":
-        "08f6b40fff0600b632a6b873b9b5197817c4af2d5bd01f235c662c5f56da760d",
+        "db86e0347089792d9a0e58743d905fc4b06d22a3d5f7838f80e07430b995b420",
 }
 
 

@@ -47,7 +47,8 @@ tab = TabulatedField(m, values).value(pts)
 samples = np.stack([np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7) ** 2],
                    axis=-1)
 s = np.linspace(0.0, 1.0, 11)
-q = SplinePath(samples)
+v0, v1 = np.array([1.0, 0.0]), np.array([1.0, 2.0])
+q = SplinePath(samples, start_velocity=v0, end_velocity=v1)
 pos, vel = q.position(s), q.velocity(s)
 after_build = scipy_modules()
 
@@ -56,7 +57,8 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 direct_tab = RegularGridInterpolator(
     tuple(m.axis_nodes(a) for a in range(3)), values, method="linear",
     bounds_error=False, fill_value=None)(pts)
-spline = CubicSpline(np.linspace(0.0, 1.0, 7), samples, bc_type="natural")
+spline = CubicSpline(np.linspace(0.0, 1.0, 7), samples,
+                     bc_type=((1, v0), (1, v1)))
 
 print(json.dumps({
     "run_code": run_code,

@@ -169,10 +169,13 @@ def test_spline_through_collinear_points_is_straight():
 
 
 def test_spline_needs_both_end_slopes_or_none():
+    # both end slopes are required
     samples = np.zeros((5, 3))
     samples[:, 0] = np.linspace(0, 1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SplinePath(samples, start_velocity=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(TypeError):
+        SplinePath(samples)
 
 
 def test_perturbation_keeps_endpoints():

@@ -9,6 +9,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scalefield.cli import main
@@ -20,7 +21,9 @@ from scalefield.fields import (
     LinearField,
     TabulatedField,
 )
+from scalefield.paths import PolylinePath, local_path_length
 from scalefield.scenario import (
+    TASKS,
     parse_scenario,
     parse_scenario_text,
     validate_scenario,
@@ -371,17 +374,18 @@ def test_manifold_construction_errors_become_validation_errors():
     invalid(doc, r"scenario\.manifold")
 
 
-def test_stride_is_a_natural_only_knob():
+def test_stride_is_a_natural_only_knob(tmp_path, capsys):
+    # a natural structure's stride is its factor t, so no kind takes one
     doc = base()
     doc["seed"] = 1
-    doc["tasks"] = [{"type": "axioms", "kind": "rational", "t": "3/2",
-                     "s": 2, "stride": 2}]
-    invalid(doc, "stride")
-    doc["tasks"][0]["kind"] = "natural"
-    doc["tasks"][0]["t"] = 3
-    doc["tasks"][0]["s"] = 2
-    doc["tasks"][0]["stride"] = 3  # a natural stride must equal t
-    ok(doc)
+    for kind, t in (("rational", "3/2"), ("natural", 3)):
+        doc["tasks"] = [{"type": "axioms", "kind": kind, "t": t, "s": 2,
+                         "stride": 3}]
+        target = tmp_path / f"{kind}.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(target)]) == 2
+        assert "scenario.tasks[0].stride: unknown key" \
+            in capsys.readouterr().err
 
 
 def test_axiom_samples_floor():
@@ -415,6 +419,32 @@ def test_gauge_check_budget_counts_the_interior_before_the_stride():
                            "points, more than the limit of 10000000"))
 
 
+@pytest.mark.parametrize("segments, steps, nodes", [
+    (1000, 2500, 4928), (3, 1000, 1005), (1, 7, 9)])
+def test_pathlen_budget_counts_the_nodes_the_quadrature_evaluates(
+        monkeypatch, segments, steps, nodes):
+    x = np.linspace(-1.0, 1.0, segments + 1)
+    doc = base()
+    doc["tasks"] = [{"type": "pathlen", "steps": steps,
+                     "path": {"kind": "polyline",
+                              "vertices": np.stack([x, x * x, 0 * x],
+                                                   axis=-1).tolist()}}]
+    rt = ok(doc)
+    evaluated = []
+    piece_velocity = PolylinePath.piece_velocity
+
+    def counted(self, s, a, b):
+        evaluated.append(np.size(s))
+        return piece_velocity(self, s, a, b)
+
+    monkeypatch.setattr(PolylinePath, "piece_velocity", counted)
+    q, _ = rt.inputs[0]
+    local_path_length(q, rt.manifold, steps)
+    params = rt.scenario.tasks[0].params
+    assert TASKS["pathlen"].work(params, rt.manifold) \
+        == ("steps", sum(evaluated)) == ("steps", nodes)
+
+
 def _deep_combination(depth):
     spec = {"family": "constant", "constant": 0.0}
     for _ in range(depth):
@@ -439,8 +469,11 @@ def _deep_combination(depth):
                             "t": "1e99999999", "s": 2}]}),
      2, "scenario.tasks[0].t: not an exact number: decimal exponent "
         "99999999 beyond the limit of 4300"),
+    (json.dumps({**base(), "fields": {"theta": {
+        "family": "radial_polynomial", "coefficients": []}}}),
+     2, "scenario.fields.theta.coefficients: need at least one coefficient"),
 ], ids=["integer-digits", "nesting", "int64", "huge-integer", "tiny-spacing",
-        "decimal-exponent"])
+        "decimal-exponent", "empty-radial-polynomial"])
 def test_extreme_inputs_are_parse_or_validation_errors(tmp_path, capsys, text,
                                                        code, fragment):
     target = tmp_path / "scenario.json"
