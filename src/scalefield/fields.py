@@ -12,6 +12,8 @@ it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -159,7 +161,18 @@ class RadialPolynomial(FieldSpec):
 
 @dataclass(frozen=True, eq=False)
 class TabulatedField(FieldSpec):
-    """Values sampled on the full manifold grid, interpolated multilinearly."""
+    """Values sampled on the full manifold grid, interpolated multilinearly.
+
+    Evaluation reproduces scipy 1.17's ``RegularGridInterpolator`` with
+    ``method="linear"``, ``bounds_error=False`` and ``fill_value=None`` bit
+    for bit, in numpy alone: each coordinate falls in the cell
+    ``searchsorted(nodes, x, side="right") - 1``, clipped to the edge cells,
+    so points past a bound extrapolate linearly; its distance into the cell
+    is ``(x - lo) / (hi - lo)``; the 2**dim corners are summed from +0.0 in
+    ``itertools.product`` order, axis 0 outermost, each weighted by the
+    product of its per-axis weights (``1 - y`` below, ``y`` above) taken in
+    axis order; and a point with a NaN coordinate gives NaN.
+    """
 
     manifold: Manifold
     values: np.ndarray
@@ -180,18 +193,37 @@ class TabulatedField(FieldSpec):
         if np.any(np.isnan(vals)):
             raise ScenarioValidationError("tabulated values contain NaN")
         object.__setattr__(self, "values", vals)
-        # scipy is imported here, not at module top: most runs never build
-        # a tabulated field and should not pay its import on every start
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator(
-            tuple(self.manifold.axis_nodes(a)
-                  for a in range(self.manifold.dimension)),
-            vals, method="linear", bounds_error=False, fill_value=None,
-        )
-        object.__setattr__(self, "_interp", interp)
+        # corners are gathered by flat index into a C-ordered copy, so the
+        # strides come from the shape and not from the caller's layout
+        shape = vals.shape
+        strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+        object.__setattr__(self, "_flat", np.ascontiguousarray(vals).ravel())
+        object.__setattr__(self, "_axes", tuple(
+            (self.manifold.axis_nodes(a), stride)
+            for a, stride in enumerate(strides)))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return self._interp(pts).reshape(pts.shape[:-1])
+        pts = np.asarray(pts, dtype=float)
+        if pts.shape[-1:] != (len(self._axes),):
+            raise ValueError(f"points must have {len(self._axes)} "
+                             f"components, got shape {pts.shape}")
+        xi = pts.reshape(-1, len(self._axes))
+        base = 0
+        sides = []  # per axis: (flat offset, weight) of the lower and upper node
+        for a, (nodes, stride) in enumerate(self._axes):
+            x = xi[:, a]
+            i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+                        0, len(nodes) - 2)
+            y = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+            base = base + i * stride
+            sides.append(((0, 1 - y), (stride, y)))
+        out = np.array([0.0])
+        for corner in itertools.product(*sides):
+            offset = sum(o for o, _ in corner)
+            weight = math.prod((w for _, w in corner), start=1.0)
+            out = out + self._flat[base + offset] * weight
+        out[np.isnan(xi).any(axis=-1)] = np.nan
+        return out.reshape(pts.shape[:-1])
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ScenarioValidationError(

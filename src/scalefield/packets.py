@@ -10,6 +10,7 @@ cancel to rounding.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -92,6 +93,16 @@ def packet_norm_squared(psi: WavePacket) -> float:
     return float(np.sum(np.abs(psi.amplitudes) ** 2)) * psi.cell_volume
 
 
+def _gaussian(d: np.ndarray, width: float, momentum) -> np.ndarray:
+    """exp(-|d|^2 / (2 sigma^2)) exp(i k.d) at offsets d from the centre."""
+    amp = np.exp(-np.sum(d * d, axis=-1) / (2.0 * float(width) ** 2))
+    amp = amp.astype(complex)
+    if momentum is not None:
+        k = np.asarray(momentum, dtype=float)
+        amp = amp * np.exp(1j * np.sum(d * k, axis=-1))
+    return amp
+
+
 def gaussian_packet(manifold: Manifold, center, width: float,
                     momentum=None, time_slice: Optional[float] = None,
                     ) -> WavePacket:
@@ -100,12 +111,37 @@ def gaussian_packet(manifold: Manifold, center, width: float,
     if c.shape != (len(manifold.spatial_axes),):
         raise ValueError("center must have one entry per spatial axis")
     d = manifold.grid_points(manifold.spatial_axes) - c
-    amp = np.exp(-np.sum(d * d, axis=-1) / (2.0 * float(width) ** 2))
-    amp = amp.astype(complex)
-    if momentum is not None:
-        k = np.asarray(momentum, dtype=float)
-        amp = amp * np.exp(1j * np.sum(d * k, axis=-1))
-    return WavePacket(manifold, amp, time_slice=time_slice)
+    return WavePacket(manifold, _gaussian(d, width, momentum),
+                      time_slice=time_slice)
+
+
+def check_gaussian_packet(manifold: Manifold, center, width: float,
+                          momentum=None) -> None:
+    """Refuse, without sampling the slice, a packet whose norm
+    ``gaussian_packet`` would find zero or not finite.
+
+    |amplitude| peaks at the grid node nearest the centre, so the norm is
+    zero when |amplitude|^2 underflows there, and the phase k.d is
+    largest in size at a corner of the slice, so it overflows somewhere
+    only if it overflows at a corner.  Those nine nodes are evaluated with
+    the packet's own formula.
+    """
+    try:
+        float(width) ** 2
+    except OverflowError:
+        raise ValueError(f"width {width} squared overflows a float")
+    c = np.asarray(center, dtype=float)
+    nodes = [manifold.axis_nodes(a) for a in manifold.spatial_axes]
+    nearest = [g[np.argmin(np.abs(g - x))] for g, x in zip(nodes, c)]
+    corners = itertools.product(*((g[0], g[-1]) for g in nodes))
+    with np.errstate(all="ignore"):
+        amp2 = np.abs(_gaussian(np.array([nearest, *corners]) - c, width,
+                                momentum)) ** 2
+    if not np.isfinite(amp2).all():
+        raise ValueError("packet amplitude is not finite on the grid")
+    if not amp2[0] > 0.0:
+        raise ValueError(f"|amplitude|^2 underflows to 0 at the grid node "
+                         f"{[float(x) for x in nearest]} nearest the centre")
 
 
 def scale_wave_packet(psi: WavePacket, field: ScalingField, x0,

@@ -107,7 +107,7 @@ def _run_geodesic(p, state, rt: RuntimeScenario, seed: Optional[int]):
     dim = rt.manifold.dimension
     header = ("tau", *(f"q{m}" for m in range(dim)),
               *(f"v{m}" for m in range(dim)))
-    rows = np.column_stack((tr.taus, tr.positions, tr.velocities)).tolist()
+    rows = np.column_stack((tr.taus, tr.positions, tr.velocities))
     results = {
         "left_domain": tr.left_domain,
         "steps": len(tr) - 1,
@@ -137,7 +137,7 @@ def _run_wavepacket(p, time_slice, rt: RuntimeScenario, seed: Optional[int]):
     spatial = psi.points()[..., list(rt.manifold.spatial_axes)].reshape(-1, 3)
     amp = scaled.amplitudes.reshape(-1)
     header = ("w1", "w2", "w3", "re_psi", "im_psi")
-    rows = np.column_stack((spatial, amp.real, amp.imag)).tolist()
+    rows = np.column_stack((spatial, amp.real, amp.imag))
     results = {
         "norm_squared_before": packet_norm_squared(psi),
         "norm_squared_after": packet_norm_squared(scaled),
@@ -150,7 +150,7 @@ def _run_gauge_check(p, transform, rt: RuntimeScenario, seed: Optional[int]):
     res = invariance_residual(rt.field, rt.gauge_config, transform, pts)
     dim = rt.manifold.dimension
     header = (*(f"x{m}" for m in range(dim)), "residual")
-    rows = np.column_stack((pts, res)).tolist()
+    rows = np.column_stack((pts, res))
     results = {
         "points": int(pts.shape[0]),
         "max_residual": float(np.max(res)),

@@ -53,7 +53,7 @@ from .gauge import GaugeConfig, GaugeTransform, apply_transform
 from .geodesics import GeodesicState
 from .manifold import Manifold
 from .outcomes import Outcome
-from .packets import slice_time
+from .packets import check_gaussian_packet, slice_time
 from .paths import PolylinePath, SegmentPath, simpson_pieces
 from .structures import KINDS, BaseNumber, structure
 
@@ -403,6 +403,12 @@ def _path(p: Dict[str, Any], rt: "RuntimeScenario"):
     return q, x_ref
 
 
+def _packet(p: Dict[str, Any], rt: "RuntimeScenario") -> Optional[float]:
+    """The packet's time slice, once its norm is known to be positive."""
+    check_gaussian_packet(rt.manifold, p["center"], p["width"], p["momentum"])
+    return slice_time(rt.manifold, p["time_slice"])
+
+
 def _transform(p: Dict[str, Any], rt: "RuntimeScenario") -> GaugeTransform:
     if rt.gauge_transform is None:
         raise ValueError("gauge-check needs a gauge block with an "
@@ -453,7 +459,7 @@ TASKS: Dict[str, TaskType] = {
         "x0": (partial(_point, count=dim), REQUIRED),
         "momentum": (partial(_numbers, count=3), None),
         "time_slice": (_number, None)},
-        lambda p, rt: slice_time(rt.manifold, p["time_slice"]),
+        _packet,
         lambda p, m: ("", math.prod(float(m.grid_shape[a])
                                     for a in m.spatial_axes)),
         MAX_POINTS, "{:.6g} points in the spatial slice of the grid"),

@@ -234,6 +234,45 @@ def test_geodesics_run_would_refuse_or_not_finish_are_validation_errors(
     assert not (tmp_path / "o").exists()
 
 
+def packet_on_a_small_grid(**packet):
+    """One packet task on a 3-node grid over [-1, 1]^3 with constant theta."""
+    return minimal(
+        manifold={"dimension": 3, "bounds": [[-1.0, 1.0]] * 3, "nodes": 3},
+        fields={"theta": {"family": "constant", "constant": 0.0}},
+        tasks=[{"type": "wavepacket", "x0": [0.0, 0.0, 0.0], **packet}])
+
+
+@pytest.mark.parametrize("packet, message", [
+    ({"center": [100.0, 100.0, 100.0], "width": 0.5},
+     "|amplitude|^2 underflows to 0 at the grid node [1.0, 1.0, 1.0] "
+     "nearest the centre"),
+    ({"center": [0.0, 0.0, 0.0], "width": 1e300},
+     "width 1e+300 squared overflows a float"),
+    ({"center": [0.0, 0.0, 0.0], "width": 0.5,
+      "momentum": [1e308, 1e308, 0.0]},
+     "packet amplitude is not finite on the grid"),
+], ids=["norm-underflows", "width-squared-overflows", "phase-overflows"])
+def test_packets_run_would_refuse_are_validation_errors(tmp_path, capsys,
+                                                        packet, message):
+    path = write(tmp_path, packet_on_a_small_grid(**packet))
+    assert main(["validate", path]) == 3
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+    assert (f"validation error: scenario.tasks[0]: {message}\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_far_packet_with_a_representable_norm_runs(tmp_path):
+    # |amplitude|^2 peaks near 1e-141 at the node [1, 0, 0]
+    path = write(tmp_path, packet_on_a_small_grid(center=[10.0, 0.0, 0.0],
+                                                  width=0.5))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    norm = summary_of(tmp_path / "o")["tasks"][0]["results"][
+        "norm_squared_before"]
+    assert 0.0 < norm < 1e-140
+
+
 def test_overflowing_result_fails_its_task_and_summary_is_strict_json(
         tmp_path, capsys):
     doc = minimal(tasks=[

@@ -1,5 +1,6 @@
 """CSV formatting: %.17g floats, fixed line endings, strict row widths."""
 
+import numpy as np
 import pytest
 
 from scalefield.csvio import emit_csv, format_cell, render_csv
@@ -48,6 +49,46 @@ def test_fields_with_commas_are_quoted():
 def test_row_width_must_match_header():
     with pytest.raises(ValueError, match="row 1"):
         render_csv(("a", "b"), [(1, 2), (3,)])
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 0.1, 3.0, 2.0 ** 60, 1e20, -1e20, float("inf"),
+               float("-inf"), float("nan"), 1.0 / 3.0, -2.5e-308]
+
+
+def test_float_array_renders_the_bytes_of_its_rows():
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((9000, 4)) * 10.0 ** rng.integers(
+        -30, 30, (9000, 4))
+    rows[:3] = np.reshape(EDGE_FLOATS, (3, 4))
+    header = ("a", "b", "c", "d")
+    text = render_csv(header, rows)
+    assert text == render_csv(header, rows.tolist())
+    # the first three lines carry the edge values through the %.17g rule
+    assert text.split("\n")[1:4] == [
+        "-0,4.9406564584124654e-324,0.10000000000000001,3",
+        "1.152921504606847e+18,1e+20,-1e+20,inf",
+        "-inf,nan,0.33333333333333331,-2.4999999999999998e-308"]
+    # a strided view renders like its contiguous copy
+    assert render_csv(header, rows[::3]) == render_csv(header,
+                                                       rows[::3].tolist())
+
+
+def test_float_array_without_rows_gives_header_only():
+    assert render_csv(("a", "b"), np.empty((0, 2))) == "a,b\n"
+
+
+def test_float_array_width_must_match_header():
+    with pytest.raises(ValueError, match="header has 2"):
+        render_csv(("a", "b"), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="header has 2"):
+        render_csv(("a", "b"), np.zeros((0, 1)))
+
+
+def test_integer_array_keeps_the_row_path():
+    # %.17g would print 2**53 + 1 as 9007199254740992
+    rows = np.array([[2 ** 53 + 1, -7], [0, 2 ** 62]])
+    assert render_csv(("n", "m"), rows) == (
+        "n,m\n9007199254740993,-7\n0,4611686018427387904\n")
 
 
 def test_header_names_must_be_nonempty():

@@ -218,6 +218,57 @@ def test_tabulated_rejects_nan():
         TabulatedField(m, vals)
 
 
+def _scipy_linear(m, values, pts):
+    """scipy's multilinear interpolant with linear extrapolation, the
+    reference ``TabulatedField`` reproduces bit for bit."""
+    from scipy.interpolate import RegularGridInterpolator
+    interp = RegularGridInterpolator(
+        tuple(m.axis_nodes(a) for a in range(m.dimension)), values,
+        method="linear", bounds_error=False, fill_value=None)
+    return interp(pts).reshape(pts.shape[:-1])
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("dim, nodes", [(3, 6), (4, 5)])
+def test_tabulated_field_matches_scipy_bit_for_bit(dim, nodes):
+    rng = np.random.default_rng(dim)
+    m = Manifold.box([(-1.0 - a, 0.5 + 0.25 * a) for a in range(dim)], nodes)
+    values = rng.standard_normal(m.grid_shape) * 10.0 ** rng.integers(
+        -6, 6, m.grid_shape)
+    values.flat[::5] = 0.0
+    values.flat[::7] = -0.0
+    lo = np.array([b[0] for b in m.bounds])
+    hi = np.array([b[1] for b in m.bounds])
+    grid = m.grid_points()
+    past = rng.uniform(lo - 0.5, hi + 0.5, (4000, dim))
+    past[0], past[1] = lo - 0.25, hi + 0.25  # below and above every bound
+    with_nan = past[:3].copy()
+    with_nan[1, -1] = np.nan
+    batches = {
+        "past every bound": past,
+        "every node": grid.reshape(-1, dim),
+        "upper corner": grid[(-1,) * dim],
+        "single point": past[7],
+        "batch (a, b, dim)": past[:24].reshape(4, 6, dim),
+        "a NaN coordinate": with_nan,
+    }
+    layouts = {"C": values, "Fortran": np.asfortranarray(values),
+               "transposed": values.T.copy().T}
+    for layout, vals in layouts.items():
+        tab = TabulatedField(m, vals)
+        for name, pts in batches.items():
+            got = tab.value(pts)
+            assert got.shape == pts.shape[:-1], (layout, name)
+            assert _same_bits(got, _scipy_linear(m, values, pts)), (layout,
+                                                                     name)
+    assert np.isnan(TabulatedField(m, values).value(with_nan)).tolist() \
+        == [False, True, False]
+
+
 def test_tabulated_requires_central_mode():
     m = cube(nodes=5)
     tab = TabulatedField(m, np.zeros(m.grid_shape))
