@@ -6,18 +6,23 @@ stable across platforms.  Lines end with '\n' and fields follow RFC 4180
 quoting.
 
 Rows come as a sequence of mixed cells, each formatted by ``format_cell``,
-or as one 2-D float64 array.  An array is rendered a block of rows at a
-time with the same %.17g rule and no per-cell Python call; the bytes are
+or as one 2-D float64 array.  An array is rendered a block of 4096 rows at
+a time with the same %.17g rule and no per-cell Python call; the bytes are
 those its ``.tolist()`` gives through the row path, since a formatted float
 never needs quoting.  Integer arrays take the row path: %.17g would round
 integers beyond 2**53, where ``str`` keeps every digit.
+
+Each row or block goes straight to the open file it is rendered for, so no
+table is ever held as text; without a file the same text comes back as a
+string.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -41,11 +46,13 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def render_csv(header: Sequence[str], rows: Iterable[Sequence],
+               out: Optional[TextIO] = None) -> Optional[str]:
+    """Write the CSV text to ``out``, or return it when ``out`` is None."""
     if not header or any(not name for name in header):
         raise ValueError("header names must be non-empty")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    sink = io.StringIO() if out is None else out
+    writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(list(header))
     width = len(header)
     if isinstance(rows, np.ndarray) and rows.ndim == 2 \
@@ -56,27 +63,29 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
         template = ",".join(["%.17g"] * width) + "\n"
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start:start + _BLOCK_ROWS]
-            buffer.write(template * len(block) % tuple(block.ravel().tolist()))
-        return buffer.getvalue()
-    for i, row in enumerate(rows):
-        cells = [format_cell(v) for v in row]
-        if len(cells) != width:
-            raise ValueError(f"row {i} has {len(cells)} cells, "
-                             f"header has {width}")
-        writer.writerow(cells)
-    return buffer.getvalue()
+            sink.write(template * len(block) % tuple(block.ravel().tolist()))
+    else:
+        for i, row in enumerate(rows):
+            cells = [format_cell(v) for v in row]
+            if len(cells) != width:
+                raise ValueError(f"row {i} has {len(cells)} cells, "
+                                 f"header has {width}")
+            writer.writerow(cells)
+    return sink.getvalue() if out is None else None
+
+
+@contextmanager
+def open_text(target: str) -> Iterator[TextIO]:
+    """``target`` open for UTF-8 text written byte for byte;
+    OSError, on opening or on writing, -> IoError."""
+    try:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as err:
+        raise IoError(f"cannot write {target}: {err.strerror}")
 
 
 def emit_csv(header: Sequence[str], rows: Iterable[Sequence],
              target: str) -> None:
-    write_text(target, render_csv(header, rows))
-
-
-def write_text(target: str, text: str) -> None:
-    """Write rendered CSV or JSON text as UTF-8, byte for byte;
-    OSError -> IoError."""
-    try:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write {target}: {err.strerror}")
+    with open_text(target) as fh:
+        render_csv(header, rows, fh)

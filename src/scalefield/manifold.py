@@ -8,6 +8,7 @@ point-taking APIs accept arrays of shape (..., dim).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -141,8 +142,18 @@ class Manifold:
         return np.array([self.axis_nodes(a)[[1, -2]]
                          for a in range(self.dimension)]).T
 
-    def interior_grid_points(self) -> np.ndarray:
-        """All grid nodes with both neighbors available on every axis."""
-        axes_nodes = [self.axis_nodes(a)[1:-1] for a in range(self.dimension)]
-        mesh = np.meshgrid(*axes_nodes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.dimension)
+    @property
+    def interior_shape(self) -> Tuple[int, ...]:
+        """Node counts of the interior: every axis without its two ends."""
+        return tuple(n - 2 for n in self.grid_shape)
+
+    def interior_grid_points(self, index=None) -> np.ndarray:
+        """Grid nodes with both neighbors available on every axis, shape
+        (N, dim), in C order over ``interior_shape``; ``index`` picks nodes
+        by their flat position in that order (default all)."""
+        shape = self.interior_shape
+        if index is None:
+            index = np.arange(math.prod(shape))
+        cols = np.unravel_index(index, shape)
+        return np.stack([self.axis_nodes(a)[1:-1][c]
+                         for a, c in enumerate(cols)], axis=-1)

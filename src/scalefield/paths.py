@@ -9,13 +9,16 @@ point; change_reference moves that point by a pure exponent factor.
 Quadrature is composite Simpson.  Paths advertise their smoothness breaks
 via `breakpoints`, and the rule is applied piecewise between breaks, so a
 polyline is integrated segment by segment (exactly, for constant speed)
-while analytic paths keep the clean fourth-order error decay.
+while analytic paths keep the clean fourth-order error decay.  Each piece is
+walked in blocks of at most 2**16 nodes, whose partial sums add up to the
+length, so a length takes the same memory at any number of steps; a piece
+that fits in one block is summed exactly as in a single pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -207,6 +210,9 @@ class PerturbedPath(Path):
 
 # -- quadrature --------------------------------------------------------------
 
+# nodes evaluated at once: the working memory of a length, whatever its steps
+_BLOCK_NODES = 1 << 16
+
 
 def simpson_pieces(q: Path, steps: int) -> List[Tuple[float, float, int]]:
     """(a, b, n) for each smooth piece [a, b] of q: a total Simpson budget of
@@ -221,13 +227,23 @@ def simpson_pieces(q: Path, steps: int) -> List[Tuple[float, float, int]]:
     return out
 
 
-def _simpson_nodes(a: float, b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    s = np.linspace(a, b, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (b - a) / (3.0 * n)
-    return s, w
+def _simpson_blocks(a: float, b: float, n: int
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Nodes and weights of the n-interval Simpson rule on [a, b], at most
+    _BLOCK_NODES at a time.  The nodes are those of np.linspace(a, b, n + 1)
+    and the weights 1, 4, 2, ..., 4, 1 times (b - a) / (3n), bit for bit."""
+    step = (b - a) / n
+    h3 = (b - a) / (3.0 * n)
+    for i0 in range(0, n + 1, _BLOCK_NODES):
+        k = np.arange(i0, min(i0 + _BLOCK_NODES, n + 1))
+        s = k * step + a
+        w = np.where(k % 2 == 1, 4.0, 2.0)
+        if k[0] == 0:
+            w[0] = 1.0
+        if k[-1] == n:
+            s[-1] = b
+            w[-1] = 1.0
+        yield s, w * h3
 
 
 def _integrate(q: Path, m: Manifold, steps: int,
@@ -239,13 +255,13 @@ def _integrate(q: Path, m: Manifold, steps: int,
     total = 0.0
     max_speed = 0.0
     for a, b, n in simpson_pieces(q, steps):
-        s, w = _simpson_nodes(a, b, n)
-        v = q.piece_velocity(s, a, b)
-        g = np.sqrt(np.abs(np.sum(eta * v * v, axis=-1)))
-        max_speed = max(max_speed, float(np.max(np.abs(v))))
-        if weight is not None:
-            g = g * weight(q.position(s))
-        total += float(np.dot(w, g))
+        for s, w in _simpson_blocks(a, b, n):
+            v = q.piece_velocity(s, a, b)
+            g = np.sqrt(np.abs(np.sum(eta * v * v, axis=-1)))
+            max_speed = max(max_speed, float(np.max(np.abs(v))))
+            if weight is not None:
+                g = g * weight(q.position(s))
+            total += float(np.dot(w, g))
     if max_speed == 0.0:
         raise DegenerateParameterization("tangent vanishes along the path")
     return total

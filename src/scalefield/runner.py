@@ -37,7 +37,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .csvio import render_csv, write_text
+from .csvio import open_text, render_csv
 from .fields import eval_f
 from .gauge import invariance_residual
 from .geodesics import integrate_geodesic
@@ -58,6 +58,9 @@ EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
 
 OUTPUT_ENV_VAR = "SCALEFIELD_OUT"
+
+# interior points per invariance_residual call of a gauge check
+_GAUGE_BLOCK = 1 << 14
 
 
 def _jsonable(value: Any) -> Any:
@@ -146,14 +149,22 @@ def _run_wavepacket(p, time_slice, rt: RuntimeScenario, seed: Optional[int]):
 
 
 def _run_gauge_check(p, transform, rt: RuntimeScenario, seed: Optional[int]):
-    pts = rt.manifold.interior_grid_points()[::p["stride"]]
-    res = invariance_residual(rt.field, rt.gauge_config, transform, pts)
-    dim = rt.manifold.dimension
+    manifold = rt.manifold
+    stride = p["stride"]
+    dim = manifold.dimension
+    # the strided interior, a block of points at a time into one table
+    count = len(range(0, math.prod(manifold.interior_shape), stride))
+    rows = np.empty((count, dim + 1))
+    for i0 in range(0, count, _GAUGE_BLOCK):
+        i1 = min(i0 + _GAUGE_BLOCK, count)
+        pts = manifold.interior_grid_points(np.arange(i0, i1) * stride)
+        rows[i0:i1, :dim] = pts
+        rows[i0:i1, dim] = invariance_residual(rt.field, rt.gauge_config,
+                                               transform, pts)
     header = (*(f"x{m}" for m in range(dim)), "residual")
-    rows = np.column_stack((pts, res))
     results = {
-        "points": int(pts.shape[0]),
-        "max_residual": float(np.max(res)),
+        "points": count,
+        "max_residual": float(np.max(rows[:, dim])),
     }
     return header, rows, results
 
@@ -272,8 +283,8 @@ def run_scenario(path: str, out: Optional[str] = None,
                    if not _finite(v)]
             if bad:
                 raise NonFiniteResult(f"non-finite result {bad[0]}")
-            write_text(os.path.join(out_dir, csv_name),
-                       render_csv(header, rows))
+            with open_text(os.path.join(out_dir, csv_name)) as fh:
+                render_csv(header, rows, fh)
             ok = results.get("all_passed", True)
             entry["status"] = "ok" if ok else "failed"
             if not ok:
@@ -298,9 +309,9 @@ def run_scenario(path: str, out: Optional[str] = None,
         "tasks": entries,
     }
     try:
-        write_text(os.path.join(out_dir, "summary.json"),
-                   json.dumps(summary, indent=2, sort_keys=True,
-                              allow_nan=False) + "\n")
+        with open_text(os.path.join(out_dir, "summary.json")) as fh:
+            fh.write(json.dumps(summary, indent=2, sort_keys=True,
+                                allow_nan=False) + "\n")
     except IoError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TASK_FAILURE

@@ -428,6 +428,18 @@ def _outcome(spec: Dict[str, Any]) -> Outcome:
     return Outcome(np.array(spec["location"]), number)
 
 
+def _outcomes(p: Dict[str, Any], rt: "RuntimeScenario") -> Tuple[Outcome, ...]:
+    """(reference, target); parallel transport needs both values as floats."""
+    pair = (_outcome(p["reference"]), _outcome(p["target"]))
+    if p["mode"] == "parallel-transform":
+        for side, outcome in zip(("reference", "target"), pair):
+            try:
+                complex(outcome.number.payload)
+            except OverflowError:
+                raise ValueError(f"{side} payload is beyond the float range")
+    return pair
+
+
 TASKS: Dict[str, TaskType] = {
     "axioms": TaskType(lambda dim: {
         "kind": (_one_of(*KINDS), REQUIRED),
@@ -466,15 +478,16 @@ TASKS: Dict[str, TaskType] = {
     "gauge-check": TaskType(lambda dim: {
         "stride": (partial(_integer, least=1, why="must be at least 1"), 1)},
         _transform,
-        # the full interior is built before the stride is applied
-        lambda p, m: ("", math.prod(float(n - 2) for n in m.grid_shape)),
+        # counts the whole interior, whatever the stride; the task visits
+        # only the strided points, a block at a time
+        lambda p, m: ("", math.prod(map(float, m.interior_shape))),
         MAX_POINTS, "{:.6g} interior grid points"),
     "compare": TaskType(lambda dim: {
         "reference": (partial(_parse_outcome, dim=dim), REQUIRED),
         "target": (partial(_parse_outcome, dim=dim), REQUIRED),
         "mode": (_one_of("physical-transmission", "parallel-transform"),
                  "physical-transmission")},
-        lambda p, rt: (_outcome(p["reference"]), _outcome(p["target"]))),
+        _outcomes),
 }
 _TASK_KEYS = {name: row.keys for name, row in TASKS.items()}
 

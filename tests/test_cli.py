@@ -10,12 +10,15 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scalefield import scenario
+from scalefield import runner, scenario
 from scalefield.cli import main
+from scalefield.csvio import render_csv
+from scalefield.gauge import invariance_residual
 from scalefield.runner import OUTPUT_ENV_VAR, resolve_output_dir
 from scalefield.scenario import parse_scenario
 
@@ -262,6 +265,23 @@ def test_packets_run_would_refuse_are_validation_errors(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_compare_payload_beyond_the_float_range_is_a_validation_error(
+        tmp_path, capsys):
+    base = fuzz_base()
+    compare = base["tasks"][-1]
+    compare["target"]["payload"] = [10 ** 400, "1/2"]
+    path = write(tmp_path, minimal(tasks=[compare]))
+    assert main(["validate", path]) == 3
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+    assert ("validation error: scenario.tasks[0]: target payload is beyond "
+            "the float range\n" in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+    # physical transmission compares the payloads exactly: nothing to convert
+    compare["mode"] = "physical-transmission"
+    path = write(tmp_path, minimal(tasks=[compare]))
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_far_packet_with_a_representable_norm_runs(tmp_path):
     # |amplitude|^2 peaks near 1e-141 at the node [1, 0, 0]
     path = write(tmp_path, packet_on_a_small_grid(center=[10.0, 0.0, 0.0],
@@ -325,6 +345,45 @@ def test_task_failures_exit_1_but_later_tasks_still_run(tmp_path, capsys):
     assert summary["tasks"][1]["status"] == "ok"
     assert summary["tasks"][1]["results"]["scaled_length"] == pytest.approx(
         math.e - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_gauge_check_in_blocks_writes_the_csv_of_one_residual_call(
+        tmp_path, stride):
+    # 37**3 interior points: more than one block at either stride
+    doc = minimal(
+        manifold={"dimension": 3, "bounds": [[-2.0, 2.0]] * 3, "nodes": 39},
+        fields={"theta": {"family": "gaussian", "amplitude": 0.4,
+                          "center": [0.1, -0.2, 0.3], "width": 1.1},
+                "phi": {"family": "linear",
+                        "coefficients": [0.3, -0.1, 0.2]},
+                "gradient_mode": "central"},
+        gauge={"g_r": 1.0, "g_i": 0.8, "h_i": 0.5,
+               "photon": [{"family": "constant", "constant": 0.1},
+                          {"family": "linear",
+                           "coefficients": [0.0, 0.2, -0.1]},
+                          {"family": "constant", "constant": -0.3}],
+               "alpha": {"family": "gaussian", "amplitude": 0.3,
+                         "center": [0.2, 0.0, -0.1], "width": 0.9},
+               "gamma": {"family": "linear",
+                         "coefficients": [0.1, 0.2, -0.3]}},
+        tasks=[{"type": "gauge-check", "stride": stride}])
+    path = write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out)]) == 0
+    rt = scenario.validate_scenario(parse_scenario(path))
+    axes = [rt.manifold.axis_nodes(a)[1:-1] for a in range(3)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"),
+                   axis=-1).reshape(-1, 3)[::stride]
+    assert len(pts) > runner._GAUGE_BLOCK
+    res = invariance_residual(rt.field, rt.gauge_config, rt.gauge_transform,
+                              pts)
+    want = render_csv(("x0", "x1", "x2", "residual"),
+                      np.column_stack((pts, res)))
+    assert (out / "00_gauge-check.csv").read_bytes() == want.encode("utf-8")
+    results = summary_of(out)["tasks"][0]["results"]
+    assert results["points"] == len(pts)
+    assert results["max_residual"] == float(np.max(res))
 
 
 def test_unwritable_csv_fails_its_task_with_an_io_error(tmp_path, capsys):

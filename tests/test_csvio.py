@@ -104,6 +104,20 @@ def test_emit_writes_unix_bytes(tmp_path):
     assert target.read_bytes() == b"x\n1.5\n"
 
 
+@pytest.mark.parametrize("rows", [
+    [("a,b", 1, None), (True, 0.1, -2.5e-308), ("x", 2 ** 70, float("nan"))],
+    np.random.default_rng(7).standard_normal((9000, 3)),
+    np.random.default_rng(7).standard_normal((9000, 3))[::2],
+    np.empty((0, 3)),
+], ids=["mixed", "float-array", "strided-array", "no-rows"])
+def test_render_into_a_file_writes_the_bytes_it_returns(tmp_path, rows):
+    header = ("p", "q", "r")
+    target = tmp_path / "out.csv"
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        assert render_csv(header, rows, fh) is None
+    assert target.read_bytes() == render_csv(header, rows).encode("utf-8")
+
+
 def test_emit_failure_reports_target(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     with pytest.raises(IoError, match="out.csv"):

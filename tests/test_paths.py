@@ -1,6 +1,7 @@
 """Path lengths, the theta weight, reference changes, variational check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scalefield.errors import DegenerateParameterization, OutOfBounds
 from scalefield.fields import ConstantField, GaussianField, LinearField, ScalingField
 from scalefield.manifold import Manifold
 from scalefield.paths import (
+    _BLOCK_NODES,
     AnalyticPath,
     PerturbedPath,
     PolylinePath,
@@ -20,6 +22,7 @@ from scalefield.paths import (
     local_path_length,
     scaled_path_length,
     variational_check,
+    _simpson_blocks,
 )
 
 BOX3 = Manifold.box([(-3.0, 3.0)] * 3, 13)
@@ -68,6 +71,50 @@ def test_too_few_steps_rejected():
     q = SegmentPath(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
         local_path_length(q, BOX3, steps=1)
+
+
+@pytest.mark.parametrize("n", [2, 2 ** 16 - 2, 2 ** 16, 2 ** 16 + 2, 10 ** 6])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.75), (1 / 3, 2 / 3)])
+def test_simpson_blocks_are_linspace_nodes_and_1_4_2_weights(a, b, n):
+    blocks = list(_simpson_blocks(a, b, n))
+    assert all(len(s) == len(w) <= _BLOCK_NODES for s, w in blocks)
+    s = np.concatenate([s for s, _ in blocks])
+    w = np.concatenate([w for _, w in blocks])
+    want_w = np.ones(n + 1)
+    want_w[1:-1:2] = 4.0
+    want_w[2:-1:2] = 2.0
+    want_w *= (b - a) / (3.0 * n)
+    assert np.array_equal(s, np.linspace(a, b, n + 1))
+    assert np.array_equal(w, want_w)
+
+
+def test_long_segment_matches_its_minkowski_length():
+    start = np.array([-1.5, -0.7, -1.2, -0.4])
+    end = np.array([1.1, 1.6, 0.3, 1.4])
+    d = end - start
+    exact = math.sqrt(abs(d[0] ** 2 - d[1] ** 2 - d[2] ** 2 - d[3] ** 2))
+    steps = 10 ** 6
+    got = local_path_length(SegmentPath(start, end), BOX4, steps)
+    assert got == pytest.approx(exact, rel=steps * np.finfo(float).eps,
+                                abs=0.0)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scaled_length_memory_does_not_grow_with_steps():
+    f = flat_field(BOX4, theta=GaussianField(0.4, (0.1, -0.2, 0.0, 0.3), 1.1))
+    q = SegmentPath(np.array([-1.5, -0.7, -1.2, -0.4]),
+                    np.array([1.1, 1.6, 0.3, 1.4]))
+    peaks = [_peak_bytes(lambda: scaled_path_length(q, f, np.zeros(4), steps))
+             for steps in (2 ** 17, 2 ** 20)]
+    assert peaks[1] / peaks[0] < 1.25
 
 
 def test_polyline_elbow_is_exact():
