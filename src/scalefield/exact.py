@@ -6,8 +6,13 @@ wrapper class; a packet's level c is a plain number.  Every string, such as
 "3/2" or "0.125", is read exactly by ``parse_fraction``: scenario and CLI
 input call it directly, library input reaches it through ``as_exact``, so
 there is one parser and one exponent bound.  A finite decimal is an exact
-rational, so there is no precision setting.  Complex quantities are
-``ComplexFraction`` pairs of Fractions with exact field arithmetic.
+rational, so there is no precision setting.
+
+Complex quantities are ``ComplexFraction`` values: one Gaussian integer
+a + bi over one denominator d, stored as the int triple (a, b, d).  The
+triple is canonical, with d > 0 and gcd(a, b, d) == 1, so each value has
+exactly one triple and the operators work on plain ints with one gcd per
+result.  ``re`` and ``im`` are the Fractions a/d and b/d.
 
 ``ComplexFraction`` speaks the same number protocol as ``Fraction``: the
 arithmetic and comparison operators (reflected ones included, so mixed
@@ -18,56 +23,72 @@ expression such as ``t / s * v`` serves every kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from .errors import DivisionByZero
 
 
-@dataclass(frozen=True, eq=False)
 class ComplexFraction:
-    """A complex number with exact rational components."""
+    """A complex number with exact rational components: (a + bi)/d.
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    ``ComplexFraction(re, im=0)`` takes anything ``Fraction()`` takes for
+    either part.  The ints a, b and d are kept in canonical form, d > 0 and
+    gcd(a, b, d) == 1, so ``==`` compares triples.  Values are immutable by
+    convention, as ``Fraction`` values are.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re, im=0) -> None:
+        re, im = Fraction(re), Fraction(im)
+        # canonical with no gcd: a prime p of d divides neither d // q nor
+        # the numerator of the part whose denominator q holds p's full power
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    real = re
+    imag = im
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ComplexFraction):
-            return self.re == other.re and self.im == other.im
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
         if isinstance(other, (Fraction, int)):
-            return self.im == 0 and self.re == other
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.im == 0:
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    @property
-    def real(self) -> Fraction:
-        return self.re
-
-    @property
-    def imag(self) -> Fraction:
-        return self.im
-
     def conjugate(self) -> "ComplexFraction":
-        return ComplexFraction(self.re, -self.im)
+        return _make(self._a, -self._b, self._d, reduced=True)
 
     def __add__(self, other: "Scalar") -> "ComplexFraction":
         o = as_complex(other)
-        return ComplexFraction(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        return _make(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1,
+                     d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ComplexFraction":
-        return ComplexFraction(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d, reduced=True)
 
     def __sub__(self, other: "Scalar") -> "ComplexFraction":
         return self + (-as_complex(other))
@@ -77,18 +98,17 @@ class ComplexFraction:
 
     def __mul__(self, other: "Scalar") -> "ComplexFraction":
         o = as_complex(other)
-        return ComplexFraction(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "ComplexFraction":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise DivisionByZero("reciprocal of zero")
-        return ComplexFraction(self.re / n, -self.im / n)
+        return _make(d * a, -d * b, n)
 
     def __truediv__(self, other: "Scalar") -> "ComplexFraction":
         return self * as_complex(other).reciprocal()
@@ -97,22 +117,43 @@ class ComplexFraction:
         return as_complex(other) * self.reciprocal()
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if self._b == 0:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+    def __repr__(self) -> str:
+        return f"ComplexFraction(re={self.re!r}, im={self.im!r})"
+
+
+def _make(a: int, b: int, d: int, reduced: bool = False) -> ComplexFraction:
+    """(a + bi)/d for d > 0, divided by gcd(a, b, d) unless ``reduced``
+    says the triple is canonical already."""
+    if not reduced:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = object.__new__(ComplexFraction)
+    z._a, z._b, z._d = a, b, d
+    return z
 
 
 Scalar = Union[Fraction, int, ComplexFraction]
 
 
 def as_complex(x: Scalar) -> ComplexFraction:
-    if isinstance(x, ComplexFraction):
+    """``x`` as a ComplexFraction: one passes unchanged, a Fraction keeps
+    its reduced numerator and denominator, anything else goes through the
+    constructor."""
+    if type(x) is ComplexFraction:
         return x
-    return ComplexFraction(Fraction(x))
+    if type(x) is Fraction:
+        return _make(x.numerator, 0, x.denominator, reduced=True)
+    return ComplexFraction(x)
 
 
 def as_exact(x) -> Scalar:

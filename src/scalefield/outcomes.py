@@ -11,7 +11,8 @@ semantics coexist:
   parallel-transform: the *value* of the reference outcome is pushed
     through the connection, picking up the factor f(target)/f(source), and
     the transported value is held against the target's value.  The report
-    carries the ratio and the residual mismatch factor.
+    carries the ratio, the residual mismatch factor and, as a cross-check
+    of the ratio, f(target)/f(source) from the two field values.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalingField, connection_factor
+from .fields import ScalingField, connection_factor, eval_f
 from .structures import BaseNumber
 
 COMPARISON_MODES = ("physical-transmission", "parallel-transform")
@@ -47,6 +48,7 @@ class ComparisonReport:
     transported: Optional[complex] = None
     mismatch_factor: Optional[complex] = None
     values_match: Optional[bool] = None
+    field_ratio_check: Optional[complex] = None
 
 
 def numbers_equal(a: BaseNumber, b: BaseNumber) -> bool:
@@ -82,4 +84,6 @@ def compare_outcomes(reference: Outcome, target: Outcome,
         transported=transported,
         mismatch_factor=mismatch,
         values_match=(transported == t_value),
+        field_ratio_check=complex(eval_f(fieldref, target.location)
+                                  / eval_f(fieldref, reference.location)),
     )

@@ -282,6 +282,34 @@ def test_compare_payload_beyond_the_float_range_is_a_validation_error(
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("theta, reference, target, name", [
+    # the transported value e^3 * 1e308 overflows
+    (3.0, ("complex", ["1e308", "0"]), ("complex", [1, "1/2"]),
+     "mismatch_factor"),
+    # the transported value over a subnormal target overflows
+    (3.0, ("rational", "1"), ("rational", "1e-320"), "mismatch_factor"),
+    # f(target) = e^800 overflows; the exponent-difference ratio does too
+    (800.0, ("rational", "1"), ("rational", "1"), "field_ratio_check"),
+], ids=["transported", "subnormal-target", "field-value"])
+def test_compare_whose_report_would_not_be_finite_is_a_validation_error(
+        tmp_path, capsys, theta, reference, target, name):
+    def outcome(location, kind_payload):
+        kind, payload = kind_payload
+        return {"location": location, "kind": kind, "payload": payload}
+
+    doc = minimal(tasks=[{"type": "compare", "mode": "parallel-transform",
+                          "reference": outcome([0.0, 0.0, 0.0], reference),
+                          "target": outcome([1.0, 0.0, 0.0], target)}])
+    doc["manifold"]["nodes"] = 5
+    doc["fields"]["theta"]["coefficients"] = [theta, 0.0, 0.0]
+    path = write(tmp_path, doc)
+    assert main(["validate", path]) == 3
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"validation error: scenario.tasks[0]: {name} is not finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_far_packet_with_a_representable_norm_runs(tmp_path):
     # |amplitude|^2 peaks near 1e-141 at the node [1, 0, 0]
     path = write(tmp_path, packet_on_a_small_grid(center=[10.0, 0.0, 0.0],
