@@ -133,14 +133,13 @@ def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
 
 
 def trajectory_path(trajectory: Trajectory) -> SplinePath:
-    """Spline through the trajectory, reparameterized to s in [0,1].
+    """Cubic Hermite through the trajectory, reparameterized to s in [0,1].
 
-    End slopes are clamped to the integrated velocities (times the tau span,
-    from the chain rule), so the path carries the true exit directions.
+    The slope at each state is its integrated velocity times the tau span
+    (chain rule), so the path needs no solve and carries the true exit
+    directions.
     """
     span = float(trajectory.taus[-1] - trajectory.taus[0])
     if span <= 0:
         raise ValueError("trajectory must span a positive tau interval")
-    return SplinePath(trajectory.positions,
-                      start_velocity=trajectory.velocities[0] * span,
-                      end_velocity=trajectory.velocities[-1] * span)
+    return SplinePath(trajectory.positions, trajectory.velocities * span)

@@ -17,7 +17,7 @@ that fits in one block is summed exactly as in a single pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -71,6 +71,14 @@ class SegmentPath(Path):
                                s.shape + self.start.shape).copy()
 
 
+def _cells(s: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Interval index of each s, clipped to [0, 1], among n uniform
+    intervals (s = 1 in the last), and its offset there in interval widths."""
+    u = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * n
+    idx = np.minimum(u.astype(int), n - 1)
+    return idx, u - idx
+
+
 @dataclass(frozen=True, eq=False)
 class PolylinePath(Path):
     """Piecewise straight path through the given vertices, uniform in s."""
@@ -88,20 +96,13 @@ class PolylinePath(Path):
         return self.vertices.shape[0] - 1
 
     def position(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        n = self._segments
-        u = np.clip(s, 0.0, 1.0) * n
-        idx = np.minimum(u.astype(int), n - 1)
-        frac = u - idx
+        idx, frac = _cells(s, self._segments)
         a = self.vertices[idx]
-        b = self.vertices[idx + 1]
-        return a + frac[..., None] * (b - a)
+        return a + frac[..., None] * (self.vertices[idx + 1] - a)
 
     def velocity(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
         n = self._segments
-        u = np.clip(s, 0.0, 1.0) * n
-        idx = np.minimum(u.astype(int), n - 1)
+        idx, _ = _cells(s, n)
         return (self.vertices[idx + 1] - self.vertices[idx]) * n
 
     def piece_velocity(self, s: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -117,35 +118,43 @@ class PolylinePath(Path):
 
 @dataclass(frozen=True, eq=False)
 class SplinePath(Path):
-    """Cubic spline through uniformly spaced samples.
+    """Cubic Hermite through uniformly spaced samples with the given dq/ds.
 
-    End slopes are clamped to the given velocities (in d position / d s
-    units).  C2 everywhere, so it is treated as one smooth piece by the
-    quadrature.
+    Each interval is the one cubic that meets both of its samples with both
+    of their velocities, so no system is solved.  The path is C1 and is
+    treated as one smooth piece by the quadrature.
     """
 
     samples: np.ndarray
-    start_velocity: np.ndarray
-    end_velocity: np.ndarray
-    _spline: Callable[..., np.ndarray] = field(init=False, repr=False)
+    velocities: np.ndarray
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.samples, dtype=float)
+        vel = np.asarray(self.velocities, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ValueError("need at least two samples of equal dimension")
+        if vel.shape != pts.shape:
+            raise ValueError("need one velocity per sample")
         object.__setattr__(self, "samples", pts)
-        s = np.linspace(0.0, 1.0, pts.shape[0])
-        bc = ((1, np.asarray(self.start_velocity, dtype=float)),
-              (1, np.asarray(self.end_velocity, dtype=float)))
-        # imported on first use, as in fields.TabulatedField
-        from scipy.interpolate import CubicSpline
-        object.__setattr__(self, "_spline", CubicSpline(s, pts, bc_type=bc))
+        object.__setattr__(self, "velocities", vel)
+
+    def _cubic(self, s: np.ndarray):
+        """Offset t in the interval of each s, the interval count n, and
+        coefficients of q = p0 + t (c1 + t (c2 + t c3)) in that interval."""
+        n = self.samples.shape[0] - 1
+        idx, t = _cells(s, n)
+        p0, d = self.samples[idx], self.samples[idx + 1] - self.samples[idx]
+        c1, m1 = self.velocities[idx] / n, self.velocities[idx + 1] / n
+        return (t[..., None], n, p0, c1, 3.0 * d - 2.0 * c1 - m1,
+                c1 + m1 - 2.0 * d)
 
     def position(self, s: np.ndarray) -> np.ndarray:
-        return self._spline(np.asarray(s, dtype=float))
+        t, _, p0, c1, c2, c3 = self._cubic(s)
+        return p0 + t * (c1 + t * (c2 + t * c3))
 
     def velocity(self, s: np.ndarray) -> np.ndarray:
-        return self._spline(np.asarray(s, dtype=float), 1)
+        t, n, _, c1, c2, c3 = self._cubic(s)
+        return (c1 + t * (2.0 * c2 + t * (3.0 * c3))) * n
 
 
 @dataclass(frozen=True, eq=False)

@@ -134,6 +134,28 @@ def test_trajectory_path_follows_the_samples():
         chords, rel=1e-4)
 
 
+def test_trajectory_path_agrees_with_a_clamped_cubic_spline():
+    # criterion 10's bump geodesic; scipy's clamped CubicSpline through the
+    # same states, with the same end slopes, is the reference
+    from scipy.interpolate import CubicSpline
+
+    m = Manifold.box([(-3.0, 3.0)] * 4, 13)
+    f = ScalingField(m, GaussianField(0.5, (0.0, 0.0, 0.6, 0.0), 0.8,
+                                      axes=(1, 2, 3)),
+                     ConstantField(0.0))
+    s0 = GeodesicState(np.array([0.0, -1.5, 0.0, 0.0]),
+                       np.array([0.0, 1.0, 0.0, 0.0]))
+    tr = integrate_geodesic(s0, f, 3.0, 1e-3)
+    span = 3.0
+    spline = CubicSpline(np.linspace(0.0, 1.0, len(tr)), tr.positions,
+                         bc_type=((1, tr.velocities[0] * span),
+                                  (1, tr.velocities[-1] * span)))
+    path = trajectory_path(tr)
+    s = np.linspace(0.0, 1.0, 20001)
+    assert np.max(np.abs(path.position(s) - spline(s))) < 1e-14
+    assert np.max(np.abs(path.velocity(s) - spline(s, 1))) < 1e-11
+
+
 def test_trajectory_shape_validation():
     with pytest.raises(ValueError):
         Trajectory(np.zeros(3), np.zeros((2, 3)), np.zeros((3, 3)))

@@ -1,30 +1,47 @@
-"""scipy is loaded only where a spline path is built.
+"""The package needs numpy alone: no scipy at runtime.
 
-``import scalefield``, a run of the demo scenario (axioms, a segment path
-length, a geodesic on analytic theta, a packet, a gauge check and a
-comparison) and a run of a scenario with a tabulated phi need numpy alone.
-The probe runs in a fresh interpreter, since this test process has long
-since imported scipy through other tests.
+No module under ``src/`` imports scipy, ``pyproject.toml`` lists numpy as
+the only runtime dependency, and a fresh interpreter in which scipy cannot
+be imported runs the demo scenario (axioms, a segment path length, a
+geodesic on analytic theta, a packet, a gauge check and a comparison), a
+scenario with a tabulated phi, and the variational check of a trajectory
+path.  scipy stays a test dependency: this process checks the probe's
+numbers against it.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from scalefield import Manifold
+from scalefield.fields import ConstantField, GaussianField, ScalingField
+from scalefield.geodesics import GeodesicState, integrate_geodesic, trajectory_path
+from scalefield.paths import variational_check
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scenarios" / "demo.json"
 
 PROBE = r"""
-import json, os, sys, tempfile
+import sys
+
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+
+import json, os, tempfile
 
 import numpy as np
 
-from scalefield import Manifold, SplinePath, TabulatedField
+from scalefield import Manifold, TabulatedField
 from scalefield.cli import main
+from scalefield.fields import ConstantField, GaussianField, ScalingField
+from scalefield.geodesics import GeodesicState, integrate_geodesic, trajectory_path
+from scalefield.paths import variational_check
 from scalefield.runner import run_scenario
 
 demo = sys.argv[1]
@@ -47,16 +64,9 @@ tabulated = {
     ],
 }
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
-
-
 with tempfile.TemporaryDirectory() as out:
     demo_codes = [run_scenario(demo, out=os.path.join(out, "demo")),
                   main(["validate", demo])]
-    after_demo = scipy_modules()
     path = os.path.join(out, "tabulated.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(tabulated, fh)
@@ -68,33 +78,23 @@ values = np.arange(125.0).reshape(5, 5, 5) ** 1.5
 pts = np.array([[0.1, 0.3, -0.2], [-0.7, 1.9, -1.3], [0.55, 1.05, -2.0],
                 [1.3, -0.4, 0.2]])
 tab = TabulatedField(m, values).value(pts)
-after_tabulated = scipy_modules()
 
-samples = np.stack([np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7) ** 2],
-                   axis=-1)
-s = np.linspace(0.0, 1.0, 11)
-v0, v1 = np.array([1.0, 0.0]), np.array([1.0, 2.0])
-q = SplinePath(samples, start_velocity=v0, end_velocity=v1)
-pos, vel = q.position(s), q.velocity(s)
-after_spline = scipy_modules()
-
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
-
-direct_tab = RegularGridInterpolator(
-    tuple(m.axis_nodes(a) for a in range(3)), values, method="linear",
-    bounds_error=False, fill_value=None)(pts)
-spline = CubicSpline(np.linspace(0.0, 1.0, 7), samples,
-                     bc_type=((1, v0), (1, v1)))
+m4 = Manifold.box([(-3.0, 3.0)] * 4, 13)
+f = ScalingField(m4, GaussianField(0.5, (0.0, 0.0, 0.6, 0.0), 0.8,
+                                   axes=(1, 2, 3)),
+                 ConstantField(0.0))
+tr = integrate_geodesic(GeodesicState(np.array([0.0, -1.5, 0.0, 0.0]),
+                                      np.array([0.0, 1.0, 0.0, 0.0])),
+                        f, 3.0, 1e-2)
+report = variational_check(trajectory_path(tr), f, perturbations=5,
+                           steps=400)
 
 print(json.dumps({
     "demo_codes": demo_codes,
-    "after_demo": after_demo,
     "tabulated_codes": tabulated_codes,
-    "after_tabulated": after_tabulated,
-    "interpolate_after_spline": "scipy.interpolate" in after_spline,
-    "tabulated_equal": bool(np.array_equal(tab, direct_tab)),
-    "spline_equal": bool(np.array_equal(pos, spline(s))
-                         and np.array_equal(vel, spline(s, 1))),
+    "tabulated": tab.tolist(),
+    "base_length": report.base_length,
+    "minimizes": report.minimizes,
 }))
 """
 
@@ -110,19 +110,59 @@ def probe():
     return json.loads(run.stdout.splitlines()[-1])
 
 
+def test_no_module_under_src_imports_scipy():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S)
+    assert block is not None
+    names = [re.split(r"[<>=!~ ]", dep)[0]
+             for dep in re.findall(r'"([^"]+)"', block.group(1))]
+    assert names == ["numpy"]
+
+
 def test_demo_run_and_validate_load_no_scipy(probe):
     assert probe["demo_codes"] == [0, 0]
-    assert probe["after_demo"] == []
 
 
 def test_tabulated_field_loads_no_scipy_and_matches_it(probe):
     # a scenario with a tabulated phi runs and validates, and a tabulated
-    # field evaluates, before the scipy reference is imported
+    # field evaluates, with scipy blocked; scipy here is the reference
+    from scipy.interpolate import RegularGridInterpolator
+
     assert probe["tabulated_codes"] == [0, 0]
-    assert probe["after_tabulated"] == []
-    assert probe["tabulated_equal"]
+    m = Manifold.box([[-1.0, 1.0], [0.0, 2.0], [-2.0, 0.0]], 5)
+    values = np.arange(125.0).reshape(5, 5, 5) ** 1.5
+    pts = np.array([[0.1, 0.3, -0.2], [-0.7, 1.9, -1.3], [0.55, 1.05, -2.0],
+                    [1.3, -0.4, 0.2]])
+    direct = RegularGridInterpolator(
+        tuple(m.axis_nodes(a) for a in range(3)), values, method="linear",
+        bounds_error=False, fill_value=None)(pts)
+    assert np.array_equal(np.array(probe["tabulated"]), direct)
 
 
-def test_spline_path_loads_scipy_and_matches_it(probe):
-    assert probe["interpolate_after_spline"]
-    assert probe["spline_equal"]
+def test_trajectory_path_variational_check_runs_without_scipy(probe):
+    m = Manifold.box([(-3.0, 3.0)] * 4, 13)
+    f = ScalingField(m, GaussianField(0.5, (0.0, 0.0, 0.6, 0.0), 0.8,
+                                      axes=(1, 2, 3)),
+                     ConstantField(0.0))
+    tr = integrate_geodesic(GeodesicState(np.array([0.0, -1.5, 0.0, 0.0]),
+                                          np.array([0.0, 1.0, 0.0, 0.0])),
+                            f, 3.0, 1e-2)
+    report = variational_check(trajectory_path(tr), f, perturbations=5,
+                               steps=400)
+    assert probe["minimizes"]
+    assert probe["base_length"] == report.base_length

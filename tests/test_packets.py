@@ -15,6 +15,7 @@ from scalefield.fields import (
     LinearField,
     ScalingField,
     connection_factor,
+    eval_f,
 )
 from scalefield.manifold import Manifold
 from scalefield.packets import (
@@ -115,6 +116,18 @@ def test_changing_reference_is_one_global_factor():
     at_y = scale_wave_packet(psi, f, y).amplitudes
     factor = connection_factor(f, x0, y)
     assert np.allclose(at_y, factor * at_x0, rtol=1e-12, atol=1e-15)
+
+
+def test_scaled_amplitude_is_f_w_over_f_x0_at_every_node():
+    # phi varies, so the phase of each factor is checked, not only its size
+    m = cube(nodes=9, half=2.0)
+    f = ScalingField(m, GaussianField(0.4, (0.3, -0.2, 0.1), 1.2),
+                     GaussianField(0.9, (-0.5, 0.4, 0.0), 1.0))
+    psi = gaussian_packet(m, (0.2, 0.0, -0.1), 0.9, momentum=(0.5, -0.3, 0.2))
+    x0 = np.array([0.5, -0.25, 0.75])
+    expected = psi.amplitudes * eval_f(f, psi.points()) / eval_f(f, x0)
+    out = scale_wave_packet(psi, f, x0).amplitudes
+    assert np.allclose(out, expected, rtol=1e-13, atol=0.0)
 
 
 def test_scaled_norm_agrees_with_double_resolution():

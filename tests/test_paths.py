@@ -209,20 +209,44 @@ def test_reference_change_matches_requadrature():
 
 def test_spline_through_collinear_points_is_straight():
     samples = np.linspace(0, 1, 9)[:, None] * np.array([0.0, 1.0, 0.0, 0.0])
-    q = SplinePath(samples,
-                   start_velocity=np.array([0.0, 1.0, 0.0, 0.0]),
-                   end_velocity=np.array([0.0, 1.0, 0.0, 0.0]))
+    q = SplinePath(samples, np.tile([0.0, 1.0, 0.0, 0.0], (9, 1)))
     assert local_path_length(q, BOX4, steps=64) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spline_needs_both_end_slopes_or_none():
-    # both end slopes are required
+def _cubic(s):
+    """q(s) = a + b s + c s^2 + d s^3 in 2d, and dq/ds."""
+    a, b = np.array([1.0, 2.0]), np.array([-1.0, 0.5])
+    c, d = np.array([3.0, -2.0]), np.array([0.7, 1.3])
+    s = np.asarray(s, dtype=float)[..., None]
+    return a + s * (b + s * (c + s * d)), b + s * (2.0 * c + s * 3.0 * d)
+
+
+def test_spline_with_exact_slopes_reproduces_a_cubic():
+    knots = np.linspace(0.0, 1.0, 8)
+    q = SplinePath(*_cubic(knots))
+    s = np.linspace(0.0, 1.0, 1001)
+    position, velocity = _cubic(s)
+    assert np.max(np.abs(q.position(s) - position)) < 1e-14
+    assert np.max(np.abs(q.velocity(s) - velocity)) < 1e-13
+
+
+def test_spline_takes_the_given_velocity_at_every_knot():
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(12, 3))
+    velocities = rng.normal(size=(12, 3))
+    q = SplinePath(samples, velocities)
+    knots = np.linspace(0.0, 1.0, 12)
+    assert np.allclose(q.position(knots), samples, rtol=0.0, atol=1e-14)
+    assert np.allclose(q.velocity(knots), velocities, rtol=0.0, atol=1e-13)
+
+
+def test_spline_needs_one_velocity_per_sample():
     samples = np.zeros((5, 3))
     samples[:, 0] = np.linspace(0, 1, 5)
-    with pytest.raises(TypeError):
-        SplinePath(samples, start_velocity=np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(TypeError):
-        SplinePath(samples)
+    for velocities in (np.array([1.0, 0.0, 0.0]), np.zeros((4, 3)),
+                       np.zeros((5, 2))):
+        with pytest.raises(ValueError):
+            SplinePath(samples, velocities)
 
 
 def test_perturbation_keeps_endpoints():

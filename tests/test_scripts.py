@@ -33,3 +33,14 @@ def test_readme_script_runs(tmp_path, script, args, header, last_line):
     with open(out, newline="", encoding="utf-8") as fh:
         assert next(csv.reader(fh)) == header
     assert run.stdout.splitlines()[-1] == last_line.format(csv=out)
+
+
+def test_bump_geodesic_headline(tmp_path):
+    # the trajectory's end and the geodesic's scaled length, as printed
+    out = tmp_path / "bump.csv"
+    run = run_script("bump_geodesic.py", "--rivals", "5", "--csv", str(out))
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == (f"wrote 3001 states to {out}; "
+                        "end [0.     1.3161 0.8396 0.    ]")
+    assert lines[1] == "scaled length 3.762865696619"
