@@ -369,7 +369,8 @@ class ScalingField:
                 f"central differences need {h} of margin on every axis"
             )
 
-    def _spec_gradient(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
+    def gradient_of(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
+        """Gradient of spec at in-grid points, analytic or central by mode."""
         if self.gradient_mode == "analytic":
             return spec.gradient(pts)
         self.require_stencil(pts)
@@ -381,8 +382,7 @@ class ScalingField:
 
     def gamma_delta(self, x) -> Tuple[np.ndarray, np.ndarray]:
         pts = self.manifold.require_inside(x)
-        return (self._spec_gradient(self.theta, pts),
-                self._spec_gradient(self.phi, pts))
+        return self.gradient_of(self.theta, pts), self.gradient_of(self.phi, pts)
 
 
 def eval_f(fieldref: ScalingField, x) -> np.ndarray:

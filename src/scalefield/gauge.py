@@ -148,5 +148,5 @@ def invariance_residual(fieldref: ScalingField, cfg: GaugeConfig,
     new_field, new_cfg = apply_transform(fieldref, cfg, transform)
     before = gauge_connection(fieldref, cfg, pts)
     after = gauge_connection(new_field, new_cfg, pts)
-    dbeta = fieldref._spec_gradient(transform.beta, pts)
+    dbeta = fieldref.gradient_of(transform.beta, pts)
     return np.max(np.abs(after + 1j * dbeta - before), axis=-1)

@@ -50,7 +50,7 @@ from .fields import (
     TabulatedField,
 )
 from .gauge import GaugeConfig, GaugeTransform, apply_transform
-from .geodesics import GeodesicState
+from .geodesics import GeodesicState, rk4_steps
 from .manifold import Manifold
 from .outcomes import Outcome, compare_outcomes
 from .packets import check_gaussian_packet, slice_time
@@ -58,7 +58,7 @@ from .paths import PolylinePath, SegmentPath, simpson_pieces
 from .structures import KINDS, BaseNumber, structure
 
 # work budgets of one task, checked by validate_scenario: RK4 steps
-# (round(tau_end / h_tau)), axiom samples, and Simpson nodes or grid points
+# (geodesics.rk4_steps), axiom samples, and Simpson nodes or grid points
 MAX_GEODESIC_STEPS = 1_000_000
 MAX_AXIOM_SAMPLES = 100_000
 MAX_POINTS = 10_000_000
@@ -371,7 +371,7 @@ class TaskType(NamedTuple):
 
 def _geodesic_steps(p: Dict[str, Any], m: Manifold) -> Tuple[str, float]:
     steps = p["tau_end"] / p["h_tau"]
-    return "h_tau", steps if np.isinf(steps) else round(steps)
+    return "h_tau", steps if np.isinf(steps) else rk4_steps(steps)
 
 
 def _path_of(spec: Dict[str, Any]):

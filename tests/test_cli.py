@@ -55,6 +55,15 @@ def summary_of(out_dir):
         return json.load(fh)
 
 
+def strict_summary_of(out_dir):
+    """summary.json, refusing the NaN and Infinity tokens JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 def test_demo_scenario_runs_clean(tmp_path):
     out = tmp_path / "run"
     assert main(["run", str(DEMO), "--out", str(out)]) == 0
@@ -333,11 +342,7 @@ def test_overflowing_result_fails_its_task_and_summary_is_strict_json(
         warnings.simplefilter("error")
         assert main(["run", write(tmp_path, doc), "--out", str(out)]) == 1
 
-    def refuse(token):
-        raise ValueError(f"{token} is not JSON")
-
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
-                         parse_constant=refuse)
+    summary = strict_summary_of(out)
     entry = summary["tasks"][0]
     assert summary["status"] == "failed"
     assert entry["status"] == "failed"
@@ -345,6 +350,29 @@ def test_overflowing_result_fails_its_task_and_summary_is_strict_json(
     assert "results" not in entry
     assert not (out / "00_pathlen.csv").exists()
     assert "scaled_length" in capsys.readouterr().err
+
+
+def test_packet_norm_overflow_is_found_by_run_not_validate(tmp_path, capsys):
+    # f(w)/f(x0) = exp(400 w0) overflows the norm on the slice; validate
+    # would have to evaluate every node to find it, so run finds it
+    doc = minimal(tasks=[{"type": "wavepacket", "center": [0.0, 0.0, 0.0],
+                          "x0": [0.0, 0.0, 0.0], "width": 0.5}])
+    doc["manifold"]["nodes"] = 5
+    doc["fields"]["theta"]["coefficients"] = [400.0, 0.0, 0.0]
+    path, out = write(tmp_path, doc), tmp_path / "o"
+    assert main(["validate", path]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--out", str(out)]) == 1
+
+    summary = strict_summary_of(out)
+    entry = summary["tasks"][0]
+    assert summary["status"] == "failed"
+    assert entry["status"] == "failed"
+    assert entry["error"] == "packet norm must be finite and positive"
+    assert "results" not in entry
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    assert "packet norm" in capsys.readouterr().err
 
 
 def test_task_failures_exit_1_but_later_tasks_still_run(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_sign_flipped_alpha_breaks_invariance_by_twice_its_gradient():
     x = np.array([0.1, 0.2, -0.3, 0.0])
     before = gauge_connection(f, cfg, x)
     after = gauge_connection(f, GaugeConfig(1.0, 1.0, 0.5, corrupt_photon), x)
-    dbeta = f._spec_gradient(tr.beta, np.asarray(x))
+    dbeta = f.gradient_of(tr.beta, np.asarray(x))
     residual = np.max(np.abs(after + 1j * dbeta - before))
     assert residual == pytest.approx(2.0 * 0.8, rel=1e-12)
 

@@ -1,13 +1,22 @@
 """Geodesic integration: straight-line limit, order, domain exits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scalefield.errors import OutOfBounds
 from scalefield.fields import ConstantField, GaussianField, LinearField, ScalingField
-from scalefield.geodesics import GeodesicState, Trajectory, integrate_geodesic, trajectory_path
+from scalefield.geodesics import (
+    GeodesicState,
+    Trajectory,
+    integrate_geodesic,
+    rk4_steps,
+    trajectory_path,
+)
 from scalefield.manifold import Manifold
 from scalefield.paths import local_path_length
+from scalefield.scenario import TASKS
 
 BOX3 = Manifold.box([(-3.0, 3.0)] * 3, 13)
 BOX4 = Manifold.box([(-3.0, 3.0)] * 4, 13)
@@ -77,6 +86,53 @@ def test_tau_grid_is_uniform_and_complete():
     assert len(tr) == 4
     assert tr.taus[-1] == pytest.approx(0.32, abs=1e-15)
     assert np.allclose(np.diff(tr.taus), 0.32 / 3, atol=1e-15)
+
+
+@pytest.mark.parametrize("tau_end, h_tau", [
+    (0.1, 0.3),  # the ratio rounds to 0, and one step runs
+    (0.32, 0.1),
+    (0.25, 0.1),
+    (1.0, 0.4),
+])
+def test_step_budget_counts_the_steps_the_integrator_takes(tau_end, h_tau):
+    f = ScalingField(BOX3, ConstantField(0.0), ConstantField(0.0))
+    tr = integrate_geodesic(GeodesicState(np.zeros(3), np.ones(3) * 0.1),
+                            f, tau_end, h_tau)
+    work = TASKS["geodesic"].work({"tau_end": tau_end, "h_tau": h_tau}, BOX3)
+    assert work == ("h_tau", len(tr) - 1)
+    assert len(tr) - 1 == rk4_steps(tau_end / h_tau) >= 1
+
+
+class PhiWithoutGradient(ConstantField):
+    def gradient(self, pts):
+        raise AssertionError("the phi gradient was evaluated")
+
+
+def test_stages_ask_the_field_for_gamma_alone():
+    theta = GaussianField(0.6, (0.3, 0.5, 0.0), 1.0)
+    s0 = GeodesicState(np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.1, 0.0]))
+    plain = integrate_geodesic(
+        s0, ScalingField(BOX3, theta, ConstantField(0.2)), 1.0, 0.01)
+    tr = integrate_geodesic(
+        s0, ScalingField(BOX3, theta, PhiWithoutGradient(0.2)), 1.0, 0.01)
+    assert np.array_equal(tr.positions, plain.positions)
+    assert np.array_equal(tr.velocities, plain.velocities)
+
+
+def test_one_call_peaks_near_its_state_table():
+    # 20,000 steps in 4d fill 20,001 rows [tau | q | v] of 9 floats; states
+    # kept as per-step Python objects would cost about six such tables
+    f = ScalingField(BOX4, LinearField((0.05, -0.02, 0.03, 0.01)),
+                     ConstantField(0.0))
+    s0 = GeodesicState(np.zeros(4), np.array([0.2, 0.1, -0.1, 0.05]))
+    tracemalloc.start()
+    try:
+        tr = integrate_geodesic(s0, f, tau_end=1.0, h_tau=1.0 / 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 20001 and not tr.left_domain
+    assert peak <= 1.5 * 20001 * 9 * 8
 
 
 def test_euclidean_drag_repels_on_identity_metric():

@@ -6,7 +6,8 @@ be imported runs the demo scenario (axioms, a segment path length, a
 geodesic on analytic theta, a packet, a gauge check and a comparison), a
 scenario with a tabulated phi, and the variational check of a trajectory
 path.  scipy stays a test dependency: this process checks the probe's
-numbers against it.
+numbers against it.  A last scan checks that no module under ``src/`` uses
+another module's private names.
 """
 
 import ast
@@ -122,6 +123,32 @@ def test_no_module_under_src_imports_scipy():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_under_src_uses_another_modules_private_names():
+    # a module may use its own _names (defined, assigned or set by string)
+    # and no other module's
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        own = {n.name for n in nodes
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        own |= {n.value for n in nodes
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        own |= {n.attr for n in nodes
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+        for n in nodes:
+            if isinstance(n, ast.ImportFrom):
+                found += [f"{path.name}:{n.lineno} {alias.name}"
+                          for alias in n.names if _private(alias.name)]
+            elif (isinstance(n, ast.Attribute) and _private(n.attr)
+                  and n.attr not in own):
+                found.append(f"{path.name}:{n.lineno} {ast.unparse(n)}")
     assert found == []
 
 
