@@ -34,10 +34,10 @@ def main():
                           np.array([0.0, 1.0, 0.0, 0.0]))
     trajectory = integrate_geodesic(state, f, 3.0, 1e-3)
 
-    rows = [(float(t), *map(float, q))
-            for t, q in zip(trajectory.taus, trajectory.positions)]
-    emit_csv(("tau", "q0", "q1", "q2", "q3"), rows, args.csv)
-    print(f"wrote {len(rows)} states to {args.csv}; "
+    # the tau and q columns of the [tau | q | v] state table
+    emit_csv(("tau", "q0", "q1", "q2", "q3"), trajectory.table[:, :5],
+             args.csv)
+    print(f"wrote {len(trajectory)} states to {args.csv}; "
           f"end {np.round(trajectory.final.position, 4)}")
 
     report = variational_check(trajectory_path(trajectory), f,

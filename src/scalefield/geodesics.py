@@ -46,31 +46,37 @@ class GeodesicState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled states q(tau_k), v(tau_k) on a uniform tau grid."""
+    """Sampled states on a uniform tau grid: one table of rows [tau | q | v],
+    which a geodesic task writes as its CSV; the columns are views of it."""
 
-    taus: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
+    table: np.ndarray
     left_domain: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("taus", "positions", "velocities"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
-        n = self.taus.shape[0]
-        if self.positions.shape[0] != n or self.velocities.shape[0] != n:
-            raise ValueError("state arrays must share the tau axis")
+        table = np.asarray(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[1] % 2 == 0:
+            raise ValueError("table must be 2-D with rows [tau | q | v]")
+        object.__setattr__(self, "table", table)
 
     def __len__(self) -> int:
-        return self.taus.shape[0]
+        return self.table.shape[0]
 
-    def state(self, k: int) -> GeodesicState:
-        return GeodesicState(self.positions[k], self.velocities[k],
-                             float(self.taus[k]))
+    @property
+    def taus(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.table[:, 1:1 + self.table.shape[1] // 2]
+
+    @property
+    def velocities(self) -> np.ndarray:
+        return self.table[:, 1 + self.table.shape[1] // 2:]
 
     @property
     def final(self) -> GeodesicState:
-        return self.state(len(self) - 1)
+        return GeodesicState(self.positions[-1], self.velocities[-1],
+                             float(self.taus[-1]))
 
 
 def _drag_weights(fieldref: ScalingField, contraction: str) -> np.ndarray:
@@ -127,8 +133,7 @@ def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
             # stencil margin; either way the step cannot be completed
             table = table[:k + 1]
             break
-    return Trajectory(table[:, 0], table[:, 1:1 + dim], table[:, 1 + dim:],
-                      left_domain=len(table) <= n)
+    return Trajectory(table, left_domain=len(table) <= n)
 
 
 def trajectory_path(trajectory: Trajectory) -> SplinePath:

@@ -41,7 +41,7 @@ from .csvio import open_text, render_csv
 from .gauge import invariance_residual
 from .geodesics import integrate_geodesic
 from .manifold import Manifold
-from .outcomes import compare_outcomes
+from .outcomes import compare_outcomes  # noqa: F401 (perfbench traces it)
 from .packets import gaussian_packet, packet_norm_squared, scale_wave_packet
 from .paths import local_path_length, scaled_path_length
 from .scenario import (
@@ -109,14 +109,13 @@ def _run_geodesic(p, state, rt: RuntimeScenario, seed: Optional[int]):
     dim = rt.manifold.dimension
     header = ("tau", *(f"q{m}" for m in range(dim)),
               *(f"v{m}" for m in range(dim)))
-    rows = np.column_stack((tr.taus, tr.positions, tr.velocities))
     results = {
         "left_domain": tr.left_domain,
         "steps": len(tr) - 1,
         "final_position": list(map(float, tr.final.position)),
         "final_velocity": list(map(float, tr.final.velocity)),
     }
-    return header, rows, results
+    return header, tr.table, results
 
 
 def _run_pathlen(p, built, rt: RuntimeScenario, seed: Optional[int]):
@@ -168,8 +167,7 @@ def _run_gauge_check(p, transform, rt: RuntimeScenario, seed: Optional[int]):
     return header, rows, results
 
 
-def _run_compare(p, outcomes, rt: RuntimeScenario, seed: Optional[int]):
-    report = compare_outcomes(*outcomes, rt.field, mode=p["mode"])
+def _run_compare(p, report, rt: RuntimeScenario, seed: Optional[int]):
     ratio = _complex_cells(report.ratio)
     transported = _complex_cells(report.transported)
     mismatch = _complex_cells(report.mismatch_factor)

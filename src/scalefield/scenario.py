@@ -52,7 +52,7 @@ from .fields import (
 from .gauge import GaugeConfig, GaugeTransform, apply_transform
 from .geodesics import GeodesicState, rk4_steps
 from .manifold import Manifold
-from .outcomes import Outcome, compare_outcomes
+from .outcomes import ComparisonReport, Outcome, compare_outcomes
 from .packets import check_gaussian_packet, slice_time
 from .paths import PolylinePath, SegmentPath, simpson_pieces
 from .structures import KINDS, BaseNumber, structure
@@ -428,9 +428,9 @@ def _outcome(spec: Dict[str, Any]) -> Outcome:
     return Outcome(np.array(spec["location"]), number)
 
 
-def _outcomes(p: Dict[str, Any], rt: "RuntimeScenario") -> Tuple[Outcome, ...]:
-    """(reference, target); parallel transport needs both values as floats
-    and every value it reports finite."""
+def _report(p: Dict[str, Any], rt: "RuntimeScenario") -> ComparisonReport:
+    """The report the run renders, computed once; parallel transport needs
+    both values as floats and every value it reports finite."""
     pair = (_outcome(p["reference"]), _outcome(p["target"]))
     if p["mode"] == "parallel-transform":
         for side, outcome in zip(("reference", "target"), pair):
@@ -438,15 +438,15 @@ def _outcomes(p: Dict[str, Any], rt: "RuntimeScenario") -> Tuple[Outcome, ...]:
                 complex(outcome.number.payload)
             except OverflowError:
                 raise ValueError(f"{side} payload is beyond the float range")
-        with np.errstate(all="ignore"):
-            report = compare_outcomes(*pair, rt.field, mode=p["mode"])
-        # in the order the run names the first non-finite result
-        for name in ("field_ratio_check", "mismatch_factor", "ratio",
-                     "transported"):
-            value = getattr(report, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} is not finite: {value}")
-    return pair
+    with np.errstate(all="ignore"):
+        report = compare_outcomes(*pair, rt.field, mode=p["mode"])
+    # in the order the run names the first non-finite result
+    for name in ("field_ratio_check", "mismatch_factor", "ratio",
+                 "transported"):
+        value = getattr(report, name)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value}")
+    return report
 
 
 TASKS: Dict[str, TaskType] = {
@@ -496,7 +496,7 @@ TASKS: Dict[str, TaskType] = {
         "target": (partial(_parse_outcome, dim=dim), REQUIRED),
         "mode": (_one_of("physical-transmission", "parallel-transform"),
                  "physical-transmission")},
-        _outcomes),
+        _report),
 }
 _TASK_KEYS = {name: row.keys for name, row in TASKS.items()}
 

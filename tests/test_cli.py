@@ -19,6 +19,7 @@ from scalefield import runner, scenario
 from scalefield.cli import main
 from scalefield.csvio import render_csv
 from scalefield.gauge import invariance_residual
+from scalefield.outcomes import compare_outcomes
 from scalefield.runner import OUTPUT_ENV_VAR, resolve_output_dir
 from scalefield.scenario import parse_scenario
 
@@ -317,6 +318,31 @@ def test_compare_whose_report_would_not_be_finite_is_a_validation_error(
     err = capsys.readouterr().err
     assert f"validation error: scenario.tasks[0]: {name} is not finite" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_each_compare_task_computes_one_report(tmp_path, monkeypatch):
+    # validate computes the report and run only renders it, in either mode
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("mode"))
+        return compare_outcomes(*args, **kwargs)
+
+    for module in (scenario, runner):
+        monkeypatch.setattr(module, "compare_outcomes", counted)
+    outcome = {"location": [0.0, 0.0, 0.0], "kind": "rational",
+               "payload": "1/2"}
+    tasks = [{"type": "compare", "mode": mode, "reference": outcome,
+              "target": dict(outcome, location=[1.0, 0.0, 0.0])}
+             for mode in ("physical-transmission", "parallel-transform")]
+    out = tmp_path / "o"
+    assert main(["run", write(tmp_path, minimal(tasks=tasks)),
+                 "--out", str(out)]) == 0
+    assert sorted(calls) == ["parallel-transform", "physical-transmission"]
+    physical, parallel = summary_of(out)["tasks"]
+    assert physical["results"]["equal"] and physical["results"]["ratio"] is None
+    assert parallel["results"]["ratio"] == pytest.approx([math.e, 0.0],
+                                                         rel=1e-12)
 
 
 def test_far_packet_with_a_representable_norm_runs(tmp_path):

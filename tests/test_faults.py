@@ -1,12 +1,14 @@
 """Fault rows: the checks that must turn red when the program is broken.
 
-Each row names a module, an attribute of it, a faulty replacement and the
-checks expected to fail while the replacement is in place.  A row runs only
-its named checks, so the table stays fast; the clean tree passes them all.
-The checks are tests of this suite, called directly.
+Each row names a module or class, an attribute of it, a faulty replacement
+and the checks expected to fail while the replacement is in place.  A row
+runs only its named checks, so the table stays fast; the clean tree passes
+them all.  The checks are tests of this suite, called directly.
 """
 
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ import pytest
 import test_acceptance
 import test_geodesic_pins
 import test_geodesics
-from scalefield import geodesics
+import test_golden
+import test_packets
+import test_paths
+from scalefield import fields, geodesics, packets, paths
 
 
 def _rate_with(drag_sign: float, force_sign: float):
@@ -29,6 +34,31 @@ def _rate_with(drag_sign: float, force_sign: float):
     return rate
 
 
+def _trapezoid_blocks(a, b, n):
+    """paths._simpson_blocks with the trapezoid rule's weights."""
+    w = np.full(n + 1, (b - a) / n)
+    w[[0, -1]] *= 0.5
+    yield np.linspace(a, b, n + 1), w
+
+
+def _conjugated_factor(*args):
+    return np.conj(fields.connection_factor(*args))
+
+
+def _hermite_velocity_with_c2(self, s):
+    """SplinePath.velocity with 2 c2 written as c2."""
+    t, n, _, c1, c2, c3 = self._cubic(s)
+    return (c1 + t * (c2 + t * (3.0 * c3))) * n
+
+
+def _demo_digests():
+    with tempfile.TemporaryDirectory() as out:
+        test_golden.test_demo_outputs_match_golden_digests(Path(out))
+
+
+CRITERION_05 = test_acceptance.test_criterion_05_flat_field_geodesics_are_straight_lines
+CRITERION_06 = test_acceptance.test_criterion_06_scaled_length_of_a_unit_segment_is_e_minus_1
+CRITERION_07 = test_acceptance.test_criterion_07_integrator_and_quadrature_convergence_orders
 CRITERION_10 = test_acceptance.test_criterion_10_geodesic_beats_100_perturbed_rivals
 PINS = tuple(partial(test_geodesic_pins.test_geodesic_bits_are_pinned, name)
              for name in sorted(test_geodesic_pins.PINS))
@@ -45,6 +75,21 @@ FAULTS = {
     "force term sign flipped": (
         geodesics, "_rate", _rate_with(1.0, -1.0),
         (CRITERION_10, REPELS, KEEPS_SPEED, *PINS)),
+    "trajectory positions read the velocity columns": (
+        geodesics.Trajectory, "positions",
+        property(lambda tr: tr.velocities),
+        (*PINS, test_geodesics.test_flat_field_gives_straight_line,
+         CRITERION_05, _demo_digests)),
+    "Simpson replaced by the trapezoid rule": (
+        paths, "_simpson_blocks", _trapezoid_blocks,
+        (CRITERION_06, CRITERION_07)),
+    "packet factor f(w)/f(x0) conjugated": (
+        packets, "connection_factor", _conjugated_factor,
+        (test_packets.test_scaled_amplitude_is_f_w_over_f_x0_at_every_node,
+         test_packets.test_changing_reference_is_one_global_factor)),
+    "Hermite velocity with c2 for 2 c2": (
+        paths.SplinePath, "velocity", _hermite_velocity_with_c2,
+        (test_paths.test_spline_with_exact_slopes_reproduces_a_cubic,)),
 }
 
 

@@ -1,10 +1,12 @@
 """Geodesic integration: straight-line limit, order, domain exits."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from scalefield import runner
 from scalefield.errors import OutOfBounds
 from scalefield.fields import ConstantField, GaussianField, LinearField, ScalingField
 from scalefield.geodesics import (
@@ -119,12 +121,15 @@ def test_stages_ask_the_field_for_gamma_alone():
     assert np.array_equal(tr.velocities, plain.velocities)
 
 
+TABLE_CASE = (ScalingField(BOX4, LinearField((0.05, -0.02, 0.03, 0.01)),
+                           ConstantField(0.0)),
+              GeodesicState(np.zeros(4), np.array([0.2, 0.1, -0.1, 0.05])))
+
+
 def test_one_call_peaks_near_its_state_table():
     # 20,000 steps in 4d fill 20,001 rows [tau | q | v] of 9 floats; states
     # kept as per-step Python objects would cost about six such tables
-    f = ScalingField(BOX4, LinearField((0.05, -0.02, 0.03, 0.01)),
-                     ConstantField(0.0))
-    s0 = GeodesicState(np.zeros(4), np.array([0.2, 0.1, -0.1, 0.05]))
+    f, s0 = TABLE_CASE
     tracemalloc.start()
     try:
         tr = integrate_geodesic(s0, f, tau_end=1.0, h_tau=1.0 / 20000)
@@ -133,6 +138,26 @@ def test_one_call_peaks_near_its_state_table():
         tracemalloc.stop()
     assert len(tr) == 20001 and not tr.left_domain
     assert peak <= 1.5 * 20001 * 9 * 8
+
+
+def test_the_geodesic_task_writes_the_state_table_itself(monkeypatch):
+    # the handler's rows are the integrator's table, not a copy of it
+    f, s0 = TABLE_CASE
+    made = []
+    monkeypatch.setattr(runner, "integrate_geodesic", lambda *a, **k: (
+        made.append(integrate_geodesic(*a, **k)) or made[-1]))
+    params = {"tau_end": 1.0, "h_tau": 1.0 / 20000,
+              "drag_contraction": "euclidean"}
+    rt = SimpleNamespace(field=f, manifold=BOX4)
+    tracemalloc.start()
+    try:
+        _, rows, results = runner._run_geodesic(params, s0, rt, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results["steps"] == 20000
+    assert peak <= 1.5 * 20001 * 9 * 8
+    assert rows is made[0].table
 
 
 def test_euclidean_drag_repels_on_identity_metric():
@@ -213,5 +238,11 @@ def test_trajectory_path_agrees_with_a_clamped_cubic_spline():
 
 
 def test_trajectory_shape_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros(3), np.zeros((2, 3)), np.zeros((3, 3)))
+    # a table is 2-D with rows [tau | q | v]: an odd column count
+    for table in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ValueError):
+            Trajectory(table)
+    tr = Trajectory(np.arange(14.0).reshape(2, 7))
+    assert tr.taus.tolist() == [0.0, 7.0]
+    assert tr.positions.tolist() == [[1.0, 2.0, 3.0], [8.0, 9.0, 10.0]]
+    assert tr.final.velocity.tolist() == [11.0, 12.0, 13.0]
