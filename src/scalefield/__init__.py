@@ -26,7 +26,6 @@ from .fields import (
     AxisDerivativeField,
     CombinationField,
     ConstantField,
-    FieldSample,
     FieldSpec,
     GaussianField,
     LinearField,

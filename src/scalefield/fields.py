@@ -6,6 +6,8 @@ shape (...); analytic families also provide exact gradients of shape
 exposes the quantities everything downstream consumes: f itself, the real
 and imaginary connection components (Gamma, Delta) = (grad theta, grad phi),
 and ``connection_factor``, the one f(y)/f(x) that outcomes and packets use.
+Every finite difference in the package, of theta, phi, a transform's alpha
+or a matter field psi, is ``central_difference`` of a function of points.
 The connection-modified derivative lives in ``gauge``: without a gauge field
 it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -262,12 +264,13 @@ class CombinationField(FieldSpec):
         return all(c == 0 or s.is_constant for c, s in self.terms)
 
 
-def _central_difference(spec: FieldSpec, pts: np.ndarray, axis: int,
-                       h: float) -> np.ndarray:
-    """Second-order central difference of ``spec`` along ``axis``, step h."""
+def central_difference(fn: Callable[[np.ndarray], np.ndarray],
+                       pts: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Second-order central difference along ``axis``, step h, of ``fn``,
+    which maps points (..., dim) to real or complex values (...)."""
     offset = np.zeros(pts.shape[-1])
     offset[axis] = h
-    return (spec.value(pts + offset) - spec.value(pts - offset)) / (2.0 * h)
+    return (fn(pts + offset) - fn(pts - offset)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -287,7 +290,7 @@ class AxisDerivativeField(FieldSpec):
     def value(self, pts: np.ndarray) -> np.ndarray:
         if self.fd_step is None:
             return self.base.gradient(pts)[..., self.axis]
-        return _central_difference(self.base, pts, self.axis, self.fd_step)
+        return central_difference(self.base.value, pts, self.axis, self.fd_step)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ScenarioValidationError(
@@ -297,23 +300,6 @@ class AxisDerivativeField(FieldSpec):
     @property
     def is_constant(self) -> bool:
         return self.base.is_constant
-
-
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """Complex samples of a field on the full manifold grid."""
-
-    manifold: Manifold
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.manifold.grid_shape:
-            raise ValueError(
-                f"sample shape {vals.shape} does not match grid "
-                f"{self.manifold.grid_shape}"
-            )
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -377,7 +363,7 @@ class ScalingField:
         h = self.gradient_step
         out = np.empty(pts.shape)
         for axis in range(self.manifold.dimension):
-            out[..., axis] = _central_difference(spec, pts, axis, h)
+            out[..., axis] = central_difference(spec.value, pts, axis, h)
         return out
 
     def gamma_delta(self, x) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,10 @@
 """Gauge structure coupling the scaling connection to a photon-like field.
 
-The derivative that acts on matter samples is
+The derivative that acts on a matter field psi, a function of points, is
 
-    D_mu psi = d_mu psi + (g_r Gamma_mu + i g_i Delta_mu + i h_i B_mu) psi.
+    D_mu psi = d_mu psi + (g_r Gamma_mu + i g_i Delta_mu + i h_i B_mu) psi,
+
+with d_mu psi the same central difference that differences theta and phi.
 
 A transform is an explicit split beta = alpha + gamma of a phase function;
 applying it shifts the photon components by -(1/h_i) d_mu alpha and the
@@ -14,7 +16,7 @@ transformed configuration drifts from that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -22,9 +24,9 @@ from .errors import BoundaryPoint, ZeroCoupling
 from .fields import (
     AxisDerivativeField,
     CombinationField,
-    FieldSample,
     FieldSpec,
     ScalingField,
+    central_difference,
 )
 
 
@@ -72,27 +74,25 @@ def gauge_connection(fieldref: ScalingField, cfg: GaugeConfig, x) -> np.ndarray:
     return cfg.g_r * gamma + 1j * (cfg.g_i * delta + cfg.h_i * cfg.photon_at(pts))
 
 
-def gauge_covariant_derivative(psi: FieldSample, fieldref: ScalingField,
-                               cfg: GaugeConfig, x, mu: int) -> complex:
-    """D_mu psi at a grid node, with d_mu psi taken by central difference.
+def gauge_covariant_derivative(psi: Callable[[np.ndarray], np.ndarray],
+                               fieldref: ScalingField, cfg: GaugeConfig,
+                               x) -> np.ndarray:
+    """D_mu psi for every mu at points x (..., dim), shape (..., dim).
 
+    psi maps points to complex values; d_mu psi is its central difference
+    with the field's ``gradient_step``, which every point needs as margin.
     g_r = g_i = 1 with a zero photon gives the derivative without a gauge
     field, d_mu psi + (Gamma_mu + i Delta_mu) psi.
     """
     _check_dim(cfg, fieldref)
     m = fieldref.manifold
-    if psi.manifold != m:
-        raise ValueError("sample and field live on different manifolds")
-    idx = m.node_index(x)
-    if idx[mu] == 0 or idx[mu] == m.grid_shape[mu] - 1:
-        raise BoundaryPoint(f"axis {mu} stencil leaves the grid at {idx}")
-    fwd, bwd = list(idx), list(idx)
-    fwd[mu] += 1
-    bwd[mu] -= 1
-    h = m.spacing[mu]
-    dpsi = (psi.values[tuple(fwd)] - psi.values[tuple(bwd)]) / (2.0 * h)
-    coefficient = gauge_connection(fieldref, cfg, m.as_points(x))[mu]
-    return dpsi + coefficient * psi.values[idx]
+    pts = m.require_inside(x)
+    h = fieldref.gradient_step
+    if not m.margin_inside(pts, h).all():
+        raise BoundaryPoint(f"d psi needs {h} of margin on every axis")
+    dpsi = np.stack([central_difference(psi, pts, mu, h)
+                     for mu in range(m.dimension)], axis=-1)
+    return dpsi + gauge_connection(fieldref, cfg, pts) * psi(pts)[..., None]
 
 
 def apply_transform(fieldref: ScalingField, cfg: GaugeConfig,

@@ -130,8 +130,9 @@ def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
                 raise OutOfBounds("stepped outside the grid")
         except (OutOfBounds, BoundaryPoint):
             # central-difference gradients shrink the usable region by their
-            # stencil margin; either way the step cannot be completed
-            table = table[:k + 1]
+            # stencil margin; either way the step cannot be completed (the
+            # copy frees the rows never reached)
+            table = table[:k + 1].copy()
             break
     return Trajectory(table, left_domain=len(table) <= n)
 

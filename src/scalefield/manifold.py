@@ -119,21 +119,6 @@ class Manifold:
         m = margin - 1e-12 * (1.0 + abs(margin))
         return ((pts >= self._lo + m) & (pts <= self._hi - m)).all(axis=-1)
 
-    def node_index(self, x) -> Tuple[int, ...]:
-        """Index of the grid node at ``x``; rejects points off the lattice."""
-        pts = self.require_inside(x, "grid point")
-        if pts.ndim != 1:
-            raise ValueError("node_index takes a single point")
-        idx = []
-        for axis in range(self.dimension):
-            lo, _ = self.bounds[axis]
-            h = self.spacing[axis]
-            k = round((pts[axis] - lo) / h)
-            if abs(pts[axis] - (lo + k * h)) > _NODE_TOL * max(1.0, abs(pts[axis])):
-                raise ValueError(f"{pts.tolist()} is not a grid node")
-            idx.append(int(k))
-        return tuple(idx)
-
     def interior_corners(self) -> np.ndarray:
         """The first and last interior node, shape (2, dim): every interior
         node lies in the box they span.  ValueError if there is none."""

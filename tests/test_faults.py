@@ -7,6 +7,7 @@ them all.  The checks are tests of this suite, called directly.
 """
 
 import tempfile
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -14,12 +15,15 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_exact
+import test_fields
+import test_gauge
 import test_geodesic_pins
 import test_geodesics
 import test_golden
 import test_packets
 import test_paths
-from scalefield import fields, geodesics, packets, paths
+from scalefield import exact, fields, gauge, geodesics, packets, paths
 
 
 def _rate_with(drag_sign: float, force_sign: float):
@@ -51,9 +55,29 @@ def _hermite_velocity_with_c2(self, s):
     return (c1 + t * (c2 + t * (3.0 * c3))) * n
 
 
+def _mul_with_real_sign_flipped(self, other):
+    """ComplexFraction.__mul__ with + b1 b2 where - b1 b2 belongs."""
+    o = exact.as_complex(other)
+    a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+    return exact._make(a1 * a2 + b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
+
+
+def _central_difference_over_h(fn, pts, axis, h):
+    """fields.central_difference with step h where 2h belongs."""
+    offset = np.zeros(pts.shape[-1])
+    offset[axis] = h
+    return (fn(pts + offset) - fn(pts - offset)) / h
+
+
 def _demo_digests():
     with tempfile.TemporaryDirectory() as out:
         test_golden.test_demo_outputs_match_golden_digests(Path(out))
+
+
+def _complex_digests():
+    with tempfile.TemporaryDirectory() as out:
+        test_golden.test_complex_scenario_outputs_match_golden_digests(
+            Path(out))
 
 
 CRITERION_05 = test_acceptance.test_criterion_05_flat_field_geodesics_are_straight_lines
@@ -64,6 +88,17 @@ PINS = tuple(partial(test_geodesic_pins.test_geodesic_bits_are_pinned, name)
              for name in sorted(test_geodesic_pins.PINS))
 REPELS = test_geodesics.test_euclidean_drag_repels_on_identity_metric
 KEEPS_SPEED = test_geodesics.test_minkowski_spatial_motion_attracts_and_keeps_speed
+# the operator check's body on one pair with nonzero imaginary parts, since
+# Hypothesis spends seconds shrinking a failure it finds on its own
+EXACT_MUL, EXACT_DIV = (
+    partial(test_exact.test_binary_operators_match_the_pair_reference
+            .hypothesis.inner_test, op, ref,
+            (exact.ComplexFraction(2, 3), (Fraction(2), Fraction(3))),
+            (exact.ComplexFraction(-1, 5), (Fraction(-1), Fraction(5))), False)
+    for op, ref in test_exact.BINARY[2:])
+COVARIANT = tuple(
+    partial(test_gauge.test_covariant_derivative_is_gauge_covariant, mode)
+    for mode in ("analytic", "central"))
 
 FAULTS = {
     "drag term sign flipped": (
@@ -90,6 +125,14 @@ FAULTS = {
     "Hermite velocity with c2 for 2 c2": (
         paths.SplinePath, "velocity", _hermite_velocity_with_c2,
         (test_paths.test_spline_with_exact_slopes_reproduces_a_cubic,)),
+    "complex product with its real-part sign flipped": (
+        exact.ComplexFraction, "__mul__", _mul_with_real_sign_flipped,
+        (EXACT_MUL, EXACT_DIV, _complex_digests)),
+    "central difference of psi over h where 2h belongs": (
+        gauge, "central_difference", _central_difference_over_h,
+        (*COVARIANT,
+         test_gauge.test_gauge_derivative_reduces_to_plain_derivative,
+         test_fields.test_covariant_derivative_kills_inverse_field_samples)),
 }
 
 

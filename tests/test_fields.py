@@ -14,7 +14,6 @@ from scalefield.errors import (
 from scalefield.fields import (
     CombinationField,
     ConstantField,
-    FieldSample,
     GaussianField,
     LinearField,
     RadialPolynomial,
@@ -165,12 +164,11 @@ def test_structure_derivative_is_gamma_plus_i_delta():
 def test_covariant_derivative_of_constant_sample():
     m = cube(-1.0, 1.0, 21)
     f = ScalingField(m, LinearField((0.7, -0.2, 0.4)))
-    psi = FieldSample(m, np.full(m.grid_shape, 2.0 + 0.0j))
-    x = m.axis_nodes(0)[10], m.axis_nodes(1)[10], m.axis_nodes(2)[10]
-    cfg = no_gauge()
+    x = np.array([m.axis_nodes(a)[10] for a in range(3)])
+    out = gauge_covariant_derivative(
+        lambda p: np.full(p.shape[:-1], 2.0 + 0.0j), f, no_gauge(), x)
     for mu, slope in enumerate((0.7, -0.2, 0.4)):
-        out = gauge_covariant_derivative(psi, f, cfg, np.array(x), mu)
-        assert out == pytest.approx(2.0 * slope, rel=1e-12)
+        assert out[..., mu] == pytest.approx(2.0 * slope, rel=1e-12)
 
 
 def test_covariant_derivative_kills_inverse_field_samples():
@@ -178,23 +176,31 @@ def test_covariant_derivative_kills_inverse_field_samples():
     theta = LinearField((0.05, -0.03, 0.02))
     phi = LinearField((0.01, 0.02, -0.04))
     f = ScalingField(m, theta, phi, gradient_mode="central")
-    pts = m.grid_points()
     psi0 = 1.7 - 0.4j
-    psi = FieldSample(m, psi0 * np.exp(-theta.value(pts) - 1j * phi.value(pts)))
-    cfg = no_gauge()
-    for node in ((32, 32, 32), (5, 50, 20), (60, 1, 33)):
-        x = np.array([m.axis_nodes(a)[i] for a, i in enumerate(node)])
-        for mu in range(3):
-            assert abs(gauge_covariant_derivative(psi, f, cfg, x, mu)) < 1e-8
+
+    def psi(p):
+        return psi0 * np.exp(-theta.value(p) - 1j * phi.value(p))
+
+    nodes = ((32, 32, 32), (5, 50, 20), (60, 1, 33))
+    x = np.array([[m.axis_nodes(a)[i] for a, i in enumerate(node)]
+                  for node in nodes])
+    out = gauge_covariant_derivative(psi, f, no_gauge(), x)
+    assert out.shape == (3, 3)
+    assert float(np.max(np.abs(out))) < 1e-8
 
 
 def test_covariant_derivative_needs_interior_node():
     m = cube(-1.0, 1.0, 11)
     f = ScalingField(m, ConstantField(0.0))
-    psi = FieldSample(m, np.ones(m.grid_shape))
+
+    def psi(p):
+        return np.ones(p.shape[:-1])
+
     edge = np.array([-1.0, 0.0, 0.0])
     with pytest.raises(BoundaryPoint):
-        gauge_covariant_derivative(psi, f, no_gauge(), edge, 0)
+        gauge_covariant_derivative(psi, f, no_gauge(), edge)
+    with pytest.raises(OutOfBounds):
+        gauge_covariant_derivative(psi, f, no_gauge(), edge - 0.1)
 
 
 def test_tabulated_field_matches_sampled_function():
@@ -283,12 +289,6 @@ def test_level_must_be_nonzero():
     psi = gaussian_packet(m, (0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ZeroLevel):
         scale_wave_packet(psi, f, np.zeros(3), c=0.0)
-
-
-def test_field_sample_shape_checked():
-    m = cube(nodes=5)
-    with pytest.raises(ValueError):
-        FieldSample(m, np.zeros((4, 5, 5)))
 
 
 def test_manifold_spacing_must_tile():

@@ -1,5 +1,7 @@
 """Gauge derivative, transforms, and the invariance identity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from scalefield.errors import ZeroCoupling
 from scalefield.fields import (
     CombinationField,
     ConstantField,
-    FieldSample,
     GaussianField,
     LinearField,
     ScalingField,
@@ -43,24 +44,73 @@ def test_gauge_derivative_of_constant_sample():
     cfg = GaugeConfig(g_r=1.5, g_i=2.0, h_i=0.75,
                       photon=constant_photon((0.2, -0.4, 0.6, 0.0)))
     psi0 = 1.0 - 2.0j
-    psi = FieldSample(m, np.full(m.grid_shape, psi0))
     x = np.array([m.axis_nodes(a)[4] for a in range(4)])
+    got = gauge_covariant_derivative(lambda p: np.full(p.shape[:-1], psi0),
+                                     f, cfg, x)
     for mu, (slope, b) in enumerate(zip((0.5, 0.1, -0.2, 0.3),
                                         (0.2, -0.4, 0.6, 0.0))):
         expected = (cfg.g_r * slope + 1j * cfg.h_i * b) * psi0
-        got = gauge_covariant_derivative(psi, f, cfg, x, mu)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got[..., mu] == pytest.approx(expected, rel=1e-12)
 
 
 def test_gauge_derivative_reduces_to_plain_derivative():
     m = spacetime(nodes=9)
     f = ScalingField(m, ConstantField(0.0), ConstantField(0.0))
     cfg = GaugeConfig(0.0, 0.0, 0.0, constant_photon((1.0, 1.0, 1.0, 1.0)))
-    pts = m.grid_points()
-    psi = FieldSample(m, pts[..., 1] ** 2)
-    x = np.array([m.axis_nodes(a)[4] for a in range(4)])
-    got = gauge_covariant_derivative(psi, f, cfg, x, 1)
-    assert got == pytest.approx(2.0 * x[1], rel=1e-12, abs=1e-12)
+    pts = m.interior_grid_points()
+    got = gauge_covariant_derivative(lambda p: p[..., 1] ** 2, f, cfg, pts)
+    expected = np.zeros(pts.shape)
+    expected[..., 1] = 2.0 * pts[..., 1]
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def _covariance_mismatches(mode, sign):
+    """max |D'psi' - e^{i beta} D psi| with psi' = e^{sign i beta} psi, on
+    criterion 08's field and couplings, at steps 0.1, 0.05, 0.025, 0.0125."""
+    m = Manifold.box([(-2.0, 2.0)] * 4, 17)
+    theta = GaussianField(0.7, (0.1, -0.2, 0.3, 0.0), 1.2)
+    phi = LinearField((0.05, -0.1, 0.2, 0.15), 0.3)
+    cfg = GaugeConfig(1.0, 0.8, 0.6,
+                      (ConstantField(0.2),
+                       LinearField((0.0, 0.1, 0.0, 0.0)),
+                       GaussianField(0.3, (0.0, 0.0, 0.0, 0.0), 1.4),
+                       ConstantField(-0.1)))
+    alpha = CombinationField((
+        (1.0, LinearField((0.3, -0.2, 0.1, 0.25), 0.4)),
+        (1.0, GaussianField(0.6, (0.2, 0.0, -0.3, 0.1), 1.1))))
+    gamma = CombinationField((
+        (1.0, LinearField((-0.1, 0.35, 0.2, -0.3), -0.2)),
+        (1.0, GaussianField(-0.5, (0.0, 0.4, 0.1, -0.2), 0.9))))
+    tr = GaugeTransform(alpha, gamma)
+    k = np.array([0.4, -0.3, 0.2, 0.5])
+
+    def psi(p):
+        return (1.0 - 0.5j) * np.exp(-0.25 * (p * p).sum(axis=-1) + 1j * p @ k)
+
+    def psi_t(p):
+        return np.exp(sign * 1j * tr.beta.value(p)) * psi(p)
+
+    pts = m.interior_grid_points()[::37]
+    phase = np.exp(1j * tr.beta.value(pts))[..., None]
+    mismatches = []
+    for h in (0.1, 0.05, 0.025, 0.0125):
+        f = ScalingField(m, theta, phi, gradient_mode=mode, gradient_step=h)
+        f_t, cfg_t = apply_transform(f, cfg, tr)
+        before = gauge_covariant_derivative(psi, f, cfg, pts)
+        after = gauge_covariant_derivative(psi_t, f_t, cfg_t, pts)
+        mismatches.append(float(np.max(np.abs(after - phase * before))))
+    return mismatches
+
+
+@pytest.mark.parametrize("mode", ["analytic", "central"])
+def test_covariant_derivative_is_gauge_covariant(mode):
+    # D'psi' = e^{i beta} D psi holds up to the O(h^2) error of the central
+    # differences, and the wrong phase e^{-i beta} breaks it at every step
+    mismatches = _covariance_mismatches(mode, +1.0)
+    orders = [math.log2(coarse / fine)
+              for coarse, fine in zip(mismatches, mismatches[1:])]
+    assert all(1.9 < order < 2.1 for order in orders), (mismatches, orders)
+    assert min(_covariance_mismatches(mode, -1.0)) > 0.1
 
 
 def test_transform_shifts_delta_by_unit():

@@ -160,6 +160,22 @@ def test_the_geodesic_task_writes_the_state_table_itself(monkeypatch):
     assert rows is made[0].table
 
 
+def test_a_trajectory_that_leaves_holds_only_its_rows():
+    # q1 = 2.9 at unit speed reaches the bound at 3 after 10,000 of 100,000
+    # steps; a view of those rows would keep the whole 7.2 MB table alive
+    f = ScalingField(BOX4, ConstantField(0.0), ConstantField(0.0))
+    s0 = GeodesicState(np.array([0.0, 2.9, 0.0, 0.0]),
+                       np.array([0.0, 1.0, 0.0, 0.0]))
+    tracemalloc.start()
+    try:
+        tr = integrate_geodesic(s0, f, tau_end=1.0, h_tau=1e-5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tr.left_domain and abs(len(tr) - 10001) <= 1
+    assert held <= 1.5 * tr.table.nbytes
+
+
 def test_euclidean_drag_repels_on_identity_metric():
     # identity metric: acceleration is -Gamma - (Gamma.v)v, away from the bump
     f = ScalingField(BOX3, GaussianField(1.0, (0.0, 1.0, 0.0), 0.8),
