@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scalefield.csvio import emit_csv, format_cell, render_csv
 from scalefield.errors import IoError
@@ -71,6 +74,60 @@ def test_float_array_renders_the_bytes_of_its_rows():
     # a strided view renders like its contiguous copy
     assert render_csv(header, rows[::3]) == render_csv(header,
                                                        rows[::3].tolist())
+
+
+# values whose %.17g text a dedup keyed by float value would get wrong or
+# merge: -0 and 0 compare equal, NaNs compare unequal to themselves
+REPEATED_FLOATS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                            5e-324, -5e-324, 2.2250738585072009e-308, 0.1,
+                            1.0 / 3.0, 2.0 ** 60])
+
+
+def _signed_zeros_across_blocks():
+    # 0.1 steps and signed zeros in both blocks of a 4096-row boundary
+    values = (np.arange(2 * 5000) % 7 - 3) * 0.1
+    values[1::2] *= -1.0
+    return values.reshape(5000, 2)
+
+
+def _column_slice():
+    # the first five columns of a state table, as scripts write them
+    rng = np.random.default_rng(3)
+    table = REPEATED_FLOATS[rng.integers(0, len(REPEATED_FLOATS), (600, 9))]
+    return table[:, :5]
+
+
+REPEATED_ARRAYS = {
+    "signed-zeros": np.tile([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]], (50, 1)),
+    "specials": np.tile(REPEATED_FLOATS[2:9], (40, 1)).reshape(-1, 4),
+    "across-blocks": _signed_zeros_across_blocks(),
+    "column-slice": _column_slice(),
+    "all-distinct": np.random.default_rng(9).standard_normal((4096, 3)),
+}
+
+
+def _assert_renders_like_its_rows(rows):
+    header = tuple(f"c{j}" for j in range(rows.shape[1]))
+    lines = render_csv(header, rows).split("\n")
+    expected = render_csv(header, rows.tolist()).split("\n")
+    # the first differing line alone, since a diff of the whole text is slow
+    mismatch = next(((i, line, want) for i, (line, want)
+                     in enumerate(zip(lines, expected)) if line != want),
+                    None)
+    assert mismatch is None
+    assert len(lines) == len(expected)
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_ARRAYS))
+def test_float_array_with_repeats_renders_the_bytes_of_its_rows(name):
+    _assert_renders_like_its_rows(REPEATED_ARRAYS[name])
+
+
+@given(hnp.arrays(np.intp, hnp.array_shapes(min_dims=2, max_dims=2,
+                                            max_side=40),
+                  elements=st.integers(0, len(REPEATED_FLOATS) - 1)))
+def test_float_array_from_a_small_pool_renders_the_bytes_of_its_rows(picks):
+    _assert_renders_like_its_rows(REPEATED_FLOATS[picks])
 
 
 def test_float_array_without_rows_gives_header_only():

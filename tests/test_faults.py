@@ -6,6 +6,7 @@ runs only its named checks, so the table stays fast; the clean tree passes
 them all.  The checks are tests of this suite, called directly.
 """
 
+import dataclasses
 import tempfile
 from fractions import Fraction
 from functools import partial
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_csvio
 import test_exact
 import test_fields
 import test_gauge
@@ -23,7 +25,16 @@ import test_geodesics
 import test_golden
 import test_packets
 import test_paths
-from scalefield import exact, fields, gauge, geodesics, packets, paths
+import test_structures
+from scalefield import csvio, exact, fields, gauge, geodesics, packets, paths
+from scalefield import structures
+from scalefield.errors import NotRepresentable
+from scalefield.exact import as_exact
+from scalefield.structures import (
+    ScaledStructure,
+    ScaledValue,
+    _nonzero,
+)
 
 
 def _rate_with(drag_sign: float, force_sign: float):
@@ -63,10 +74,53 @@ def _mul_with_real_sign_flipped(self, other):
 
 
 def _central_difference_over_h(fn, pts, axis, h):
-    """fields.central_difference with step h where 2h belongs."""
+    """fields.central_difference with step h where 2h belongs; in gauge it
+    differences psi, in fields theta and phi."""
     offset = np.zeros(pts.shape[-1])
     offset[axis] = h
     return (fn(pts + offset) - fn(pts - offset)) / h
+
+
+def _render_block_keyed_by_value(block):
+    """csvio._render_block with cells keyed by float value, so -0 is 0."""
+    keys, inverse = np.unique(block, return_inverse=True)
+    texts = ("%.17g\n" * len(keys) % tuple(keys.tolist())).split("\n")[:-1]
+    line = ",".join(["%s"] * block.shape[1]) + "\n"
+    return line * len(block) % tuple(
+        np.array(texts, dtype=object)[inverse.ravel()].tolist())
+
+
+_apply_transform = gauge.apply_transform
+
+
+def _transform_with_flipped_shift(coupling: str):
+    """gauge.apply_transform with the shift divided by ``coupling`` (h_i: the
+    photon's, g_i: phi's) of the opposite sign, made by negating that
+    coupling for the transform alone."""
+    def apply(fieldref, cfg, transform):
+        value = getattr(cfg, coupling)
+        new_field, new_cfg = _apply_transform(
+            fieldref, dataclasses.replace(cfg, **{coupling: -value}),
+            transform)
+        return new_field, dataclasses.replace(new_cfg, **{coupling: value})
+    return apply
+
+
+def _relabel_with_t_and_s_swapped(v, t, s, kind="rational"):
+    """structures.relabel mapping v -> (s/t) v.  Its code replaces relabel's,
+    so every name bound to relabel sees the fault; it reads only names that
+    structures binds too."""
+    tv, sv = _nonzero(t), _nonzero(s)
+    if isinstance(v, ScaledValue):
+        kind = v.structure.kind
+        if v.structure.level_s != tv:
+            raise NotRepresentable(
+                f"value lives at level {v.structure.level_s}, not {tv}"
+            )
+        raw = v.value
+    else:
+        raw = v
+    return ScaledValue(ScaledStructure(kind, sv, sv), sv / tv * as_exact(raw))
 
 
 def _demo_digests():
@@ -83,6 +137,8 @@ def _complex_digests():
 CRITERION_05 = test_acceptance.test_criterion_05_flat_field_geodesics_are_straight_lines
 CRITERION_06 = test_acceptance.test_criterion_06_scaled_length_of_a_unit_segment_is_e_minus_1
 CRITERION_07 = test_acceptance.test_criterion_07_integrator_and_quadrature_convergence_orders
+CRITERION_08 = test_acceptance.test_criterion_08_gauge_residual_vanishes_on_the_full_interior
+CRITERION_09 = test_acceptance.test_criterion_09_central_differences_converge_at_second_order
 CRITERION_10 = test_acceptance.test_criterion_10_geodesic_beats_100_perturbed_rivals
 PINS = tuple(partial(test_geodesic_pins.test_geodesic_bits_are_pinned, name)
              for name in sorted(test_geodesic_pins.PINS))
@@ -99,6 +155,12 @@ EXACT_MUL, EXACT_DIV = (
 COVARIANT = tuple(
     partial(test_gauge.test_covariant_derivative_is_gauge_covariant, mode)
     for mode in ("analytic", "central"))
+REPEATS = tuple(
+    partial(test_csvio.test_float_array_with_repeats_renders_the_bytes_of_its_rows,
+            name)
+    for name in ("signed-zeros", "across-blocks", "column-slice"))
+RESIDUALS = (CRITERION_08, test_gauge.test_invariance_residual_is_machine_small,
+             test_gauge.test_residual_in_central_difference_mode, _demo_digests)
 
 FAULTS = {
     "drag term sign flipped": (
@@ -133,6 +195,26 @@ FAULTS = {
         (*COVARIANT,
          test_gauge.test_gauge_derivative_reduces_to_plain_derivative,
          test_fields.test_covariant_derivative_kills_inverse_field_samples)),
+    "CSV cells keyed by float value, -0 folded into 0": (
+        csvio, "_render_block", _render_block_keyed_by_value,
+        (*REPEATS,
+         test_csvio.test_float_array_from_a_small_pool_renders_the_bytes_of_its_rows)),
+    "photon shift sign flipped": (
+        gauge, "apply_transform", _transform_with_flipped_shift("h_i"),
+        RESIDUALS),
+    "phi shift over g_i sign flipped": (
+        gauge, "apply_transform", _transform_with_flipped_shift("g_i"),
+        RESIDUALS),
+    "central difference of theta and phi over h where 2h belongs": (
+        fields, "central_difference", _central_difference_over_h,
+        (CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,
+         test_fields.test_central_gradient_is_second_order)),
+    # criterion 02 stays green: v -> (s/t) v composes as exactly as (t/s) v
+    "relabel with t and s swapped": (
+        structures.relabel, "__code__", _relabel_with_t_and_s_swapped.__code__,
+        (test_structures.test_relabel_matches_stride_change,
+         test_structures.test_relabel_two_hops_equals_direct,
+         test_structures.test_relabel_complex_ratio)),
 }
 
 
@@ -164,3 +246,9 @@ def test_the_unbroken_replacement_is_the_rate():
     args = (field, np.ones(4), field.manifold.metric_diagonal)
     assert np.array_equal(_rate_with(1.0, 1.0)(y, *args),
                           geodesics._rate(y, *args))
+
+
+def test_the_swapped_relabel_is_relabel_with_its_levels_swapped():
+    for v, t, s in ((Fraction(3), 4, 2), (Fraction(-5, 7), Fraction(2, 3), 9)):
+        assert (_relabel_with_t_and_s_swapped(v, t, s).value
+                == structures.relabel(v, s, t).value)
