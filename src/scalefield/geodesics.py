@@ -30,7 +30,6 @@ from .paths import SplinePath
 class GeodesicState:
     position: np.ndarray
     velocity: np.ndarray
-    tau: float = 0.0
 
     def __post_init__(self) -> None:
         q = np.asarray(self.position, dtype=float)
@@ -41,7 +40,6 @@ class GeodesicState:
             raise ValueError("state must be finite")
         object.__setattr__(self, "position", q)
         object.__setattr__(self, "velocity", v)
-        object.__setattr__(self, "tau", float(self.tau))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +73,7 @@ class Trajectory:
 
     @property
     def final(self) -> GeodesicState:
-        return GeodesicState(self.positions[-1], self.velocities[-1],
-                             float(self.taus[-1]))
+        return GeodesicState(self.positions[-1], self.velocities[-1])
 
 
 def _drag_weights(fieldref: ScalingField, contraction: str) -> np.ndarray:
@@ -104,7 +101,7 @@ def _rate(y: np.ndarray, fieldref: ScalingField, drag: np.ndarray,
 def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
                        tau_end: float, h_tau: float,
                        drag_contraction: str = "euclidean") -> Trajectory:
-    """Integrate from state0 to tau_end with step ~h_tau (exact divisor)."""
+    """Integrate from tau = 0 to tau_end with step ~h_tau (exact divisor)."""
     if not h_tau > 0:
         raise ValueError("step must be positive")
     if not tau_end > 0:
@@ -116,7 +113,7 @@ def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
     h = tau_end / n
     dim = m.dimension
     table = np.empty((n + 1, 1 + 2 * dim))
-    table[:, 0] = state0.tau + h * np.arange(n + 1)
+    table[:, 0] = h * np.arange(n + 1)
     y = table[0, 1:] = np.concatenate((m.require_inside(state0.position),
                                        state0.velocity))
     for k in range(n):

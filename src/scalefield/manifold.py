@@ -101,12 +101,12 @@ class Manifold:
     def contains(self, x) -> np.ndarray:
         return self._within(self.as_points(x)).all(axis=-1)
 
-    def require_inside(self, x, what: str = "point") -> np.ndarray:
+    def require_inside(self, x) -> np.ndarray:
         pts = self.as_points(x)
         within = self._within(pts)
         if not within.all():
             bad = pts if pts.ndim == 1 else pts[~within.all(axis=-1)][0]
-            raise OutOfBounds(f"{what} {np.asarray(bad).tolist()} outside bounds")
+            raise OutOfBounds(f"point {np.asarray(bad).tolist()} outside bounds")
         return pts
 
     def margin_inside(self, x, margin: float) -> np.ndarray:

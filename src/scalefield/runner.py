@@ -45,6 +45,7 @@ from .outcomes import compare_outcomes  # noqa: F401 (perfbench traces it)
 from .packets import gaussian_packet, packet_norm_squared, scale_wave_packet
 from .paths import local_path_length, scaled_path_length
 from .scenario import (
+    SIGNATURES,
     RuntimeScenario,
     Scenario,
     parse_scenario,
@@ -201,7 +202,7 @@ def _manifold_summary(m: Manifold) -> Dict[str, Any]:
         "dimension": m.dimension,
         "bounds": [list(b) for b in m.bounds],
         "spacing": list(m.spacing),
-        "signature": "minkowski" if m.dimension == 4 else "euclidean",
+        "signature": SIGNATURES[m.dimension],
     }
 
 

@@ -10,7 +10,9 @@ validation errors are semantic (cross-field requirements such as a seed for
 randomized tasks or a gauge block for gauge tasks).
 
 Every JSON object is read by ``_keyed`` against a schema that maps each key
-to a parser and a default, ``REQUIRED`` for a mandatory key.  ``TASKS`` is
+to a parser and a default, ``REQUIRED`` for a mandatory key.  Parsing yields
+plain data, the dicts of those keys; validation builds every library object,
+each once, and ``_build_spec`` alone builds field specs.  ``TASKS`` is
 the one table of task types.  A row holds the task's key schema, its work
 estimate, which validation holds to a budget, and its ``build`` column,
 which makes the task's inputs with the library constructors: validation
@@ -179,13 +181,6 @@ def _exact(node: Any, path: str) -> Fraction:
 # -- field specs --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TabulatedStub:
-    """Placeholder until the manifold is known; built in validate_scenario."""
-
-    values: Any
-
-
 def _axes(node: Any, path: str, dim: int) -> Tuple[int, ...]:
     axes = _items(node, path, _integer)
     for i, a in enumerate(axes):
@@ -200,11 +195,10 @@ def _coefficients(node: Any, path: str) -> Tuple[float, ...]:
     return _numbers(node, path)
 
 
-def _terms(node: Any, path: str, dim: int) -> Tuple[Tuple[float, FieldSpec], ...]:
+def _terms(node: Any, path: str, dim: int) -> Tuple[Dict[str, Any], ...]:
     term = {"weight": (_number, REQUIRED),
-            "spec": (partial(build_field_spec, dimension=dim), REQUIRED)}
-    return tuple((t["weight"], t["spec"])
-                 for t in _items(node, path, partial(_keyed, schema=term)))
+            "spec": (partial(parse_field_spec, dimension=dim), REQUIRED)}
+    return _items(node, path, partial(_keyed, schema=term))
 
 
 # family: (spec class, key schema on a grid of dimension dim)
@@ -222,45 +216,18 @@ _FAMILIES = {
         "coefficients": (_coefficients, REQUIRED)}),
     "combination": (CombinationField,
                     lambda dim: {"terms": (partial(_terms, dim=dim), REQUIRED)}),
-    # the value grid is checked against the manifold at build time
-    "tabulated": (_TabulatedStub, lambda dim: {"values": (_array, REQUIRED)}),
+    # validation checks the value grid against the manifold
+    "tabulated": (TabulatedField, lambda dim: {"values": (_array, REQUIRED)}),
 }
 _FAMILY_KEYS = {name: keys for name, (_, keys) in _FAMILIES.items()}
 
 
-def build_field_spec(node: Any, path: str, dimension: int) -> FieldSpec:
-    params = _tagged(node, path, "family", _FAMILY_KEYS, dimension)
-    return _FAMILIES[params.pop("family")][0](**params)
+def parse_field_spec(node: Any, path: str, dimension: int) -> Dict[str, Any]:
+    """The spec's keys, its family among them; ``_build_spec`` builds it."""
+    return _tagged(node, path, "family", _FAMILY_KEYS, dimension)
 
 
-# -- parsed blocks ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ManifoldBlock:
-    dimension: int
-    bounds: Tuple[Tuple[float, float], ...]
-    spacing: Optional[Tuple[float, ...]]
-    nodes: Optional[int]
-    signature: str
-
-
-@dataclass(frozen=True)
-class FieldsBlock:
-    theta: FieldSpec
-    phi: FieldSpec
-    gradient_mode: str
-    gradient_step: Optional[float]
-
-
-@dataclass(frozen=True)
-class GaugeBlock:
-    g_r: float
-    g_i: float
-    h_i: float
-    photon: Tuple[FieldSpec, ...]
-    alpha: Optional[FieldSpec]
-    gamma: Optional[FieldSpec]
+# -- parsed scenario ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -271,9 +238,9 @@ class Task:
 
 @dataclass(frozen=True)
 class Scenario:
-    manifold: ManifoldBlock
-    fields: FieldsBlock
-    gauge: Optional[GaugeBlock]
+    manifold: Dict[str, Any]
+    fields: Dict[str, Any]
+    gauge: Optional[Dict[str, Any]]
     tasks: Tuple[Task, ...]
     seed: Optional[int]
     output: Optional[str]
@@ -288,10 +255,10 @@ def _spacing(node: Any, path: str, dim: int) -> Tuple[float, ...]:
     return (_number(node, path),) * dim
 
 
-def _parse_manifold(node: Any, path: str) -> ManifoldBlock:
+def _parse_manifold(node: Any, path: str) -> Dict[str, Any]:
     dim = _mapping(node, path).get("dimension")
     signature = SIGNATURES.get(dim) if isinstance(dim, int) else None
-    block = ManifoldBlock(**_keyed(node, path, {
+    block = _keyed(node, path, {
         "dimension": (partial(_integer, least=3, most=4,
                               why="must be 3 or 4"), REQUIRED),
         "bounds": (partial(_items, parse=partial(_numbers, count=2),
@@ -300,28 +267,28 @@ def _parse_manifold(node: Any, path: str) -> ManifoldBlock:
         "nodes": (partial(_integer, least=2,
                           why="need at least 2 nodes per axis"), None),
         "signature": (_one_of("euclidean", "minkowski"), signature),
-    }))
-    if (block.spacing is None) == (block.nodes is None):
+    })
+    if (block["spacing"] is None) == (block["nodes"] is None):
         raise _fail(path, "give exactly one of 'spacing' or 'nodes'")
-    if block.signature != SIGNATURES[dim]:
+    if block["signature"] != SIGNATURES[dim]:
         raise _fail(f"{path}.signature",
                     f"dimension {dim} carries the {SIGNATURES[dim]} signature")
     return block
 
 
-def _parse_fields(node: Any, path: str, dim: int) -> FieldsBlock:
-    spec = partial(build_field_spec, dimension=dim)
-    return FieldsBlock(**_keyed(node, path, {
+def _parse_fields(node: Any, path: str, dim: int) -> Dict[str, Any]:
+    spec = partial(parse_field_spec, dimension=dim)
+    return _keyed(node, path, {
         "theta": (spec, REQUIRED),
-        "phi": (spec, ConstantField(0.0)),
+        "phi": (spec, {"family": "constant", "constant": 0.0}),
         "gradient_mode": (_one_of("analytic", "central"), "analytic"),
         "gradient_step": (_number, None),
-    }))
+    })
 
 
-def _parse_gauge(node: Any, path: str, dim: int) -> GaugeBlock:
-    spec = partial(build_field_spec, dimension=dim)
-    return GaugeBlock(**_keyed(node, path, {
+def _parse_gauge(node: Any, path: str, dim: int) -> Dict[str, Any]:
+    spec = partial(parse_field_spec, dimension=dim)
+    return _keyed(node, path, {
         "g_r": (_number, REQUIRED),
         "g_i": (_number, REQUIRED),
         "h_i": (_number, REQUIRED),
@@ -329,7 +296,7 @@ def _parse_gauge(node: Any, path: str, dim: int) -> GaugeBlock:
                            what="component specs"), REQUIRED),
         "alpha": (spec, None),
         "gamma": (spec, None),
-    }))
+    })
 
 
 def _parse_outcome(node: Any, path: str, dim: int) -> Dict[str, Any]:
@@ -553,16 +520,19 @@ class RuntimeScenario:
     inputs: Tuple[Any, ...] = ()  # what each task's build column made
 
 
-def _build_spec(spec: FieldSpec, manifold: Manifold, label: str) -> FieldSpec:
-    if isinstance(spec, _TabulatedStub):
-        try:
-            return TabulatedField(manifold, spec.values)
-        except (TypeError, ValueError, ScenarioValidationError) as err:
-            raise ScenarioValidationError(f"{label}: {err}")
-    if isinstance(spec, CombinationField):
-        return CombinationField(tuple(
-            (w, _build_spec(s, manifold, label)) for w, s in spec.terms))
-    return spec
+def _build_spec(spec: Dict, manifold: Manifold, label: str) -> FieldSpec:
+    """Build a parsed spec: the one place a scenario's field specs are made."""
+    params = dict(spec)
+    family = params.pop("family")
+    if family == "combination":
+        params["terms"] = tuple(
+            (t["weight"], _build_spec(t["spec"], manifold, label))
+            for t in params["terms"])
+    grid = (manifold,) if family == "tabulated" else ()
+    try:
+        return _FAMILIES[family][0](*grid, **params)
+    except (TypeError, ValueError, ScenarioValidationError) as err:
+        raise ScenarioValidationError(f"{label}: {err}")
 
 
 def _points(value: Any, path: str) -> Iterator[Tuple[str, Point]]:
@@ -581,20 +551,21 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
     """Check cross-field requirements; assemble the runtime and task inputs."""
     block = scenario.manifold
     try:
-        if block.nodes is not None:
-            manifold = Manifold.box(block.bounds, block.nodes)
+        if block["nodes"] is not None:
+            manifold = Manifold.box(block["bounds"], block["nodes"])
         else:
-            manifold = Manifold(block.dimension, block.bounds, block.spacing)
+            manifold = Manifold(block["dimension"], block["bounds"],
+                                block["spacing"])
     except (ValueError, OverflowError) as err:
         raise ScenarioValidationError(f"scenario.manifold: {err}")
 
-    theta = _build_spec(scenario.fields.theta, manifold,
-                        "scenario.fields.theta")
-    phi = _build_spec(scenario.fields.phi, manifold, "scenario.fields.phi")
+    fields = scenario.fields
+    theta = _build_spec(fields["theta"], manifold, "scenario.fields.theta")
+    phi = _build_spec(fields["phi"], manifold, "scenario.fields.phi")
     try:
         fieldref = ScalingField(manifold, theta, phi,
-                                gradient_mode=scenario.fields.gradient_mode,
-                                gradient_step=scenario.fields.gradient_step)
+                                gradient_mode=fields["gradient_mode"],
+                                gradient_step=fields["gradient_step"])
     except (ValueError, ScaleFieldError) as err:
         raise ScenarioValidationError(f"scenario.fields: {err}")
 
@@ -602,15 +573,15 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
     if scenario.gauge is not None:
         g = scenario.gauge
         photon = tuple(_build_spec(s, manifold, f"scenario.gauge.photon[{i}]")
-                       for i, s in enumerate(g.photon))
-        gauge_config = GaugeConfig(g.g_r, g.g_i, g.h_i, photon)
-        if (g.alpha is None) != (g.gamma is None):
+                       for i, s in enumerate(g["photon"]))
+        gauge_config = GaugeConfig(g["g_r"], g["g_i"], g["h_i"], photon)
+        if (g["alpha"] is None) != (g["gamma"] is None):
             raise ScenarioValidationError(
                 "scenario.gauge: alpha and gamma come as a pair")
-        if g.alpha is not None:
+        if g["alpha"] is not None:
             gauge_transform = GaugeTransform(
-                _build_spec(g.alpha, manifold, "scenario.gauge.alpha"),
-                _build_spec(g.gamma, manifold, "scenario.gauge.gamma"))
+                _build_spec(g["alpha"], manifold, "scenario.gauge.alpha"),
+                _build_spec(g["gamma"], manifold, "scenario.gauge.gamma"))
             if fieldref.gradient_mode == "analytic":
                 for name, spec in (("alpha", gauge_transform.alpha),
                                    ("gamma", gauge_transform.gamma)):

@@ -22,6 +22,7 @@ from scalefield.gauge import invariance_residual
 from scalefield.outcomes import compare_outcomes
 from scalefield.runner import OUTPUT_ENV_VAR, resolve_output_dir
 from scalefield.scenario import parse_scenario
+from test_csvio import assert_same_lines
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
@@ -462,7 +463,8 @@ def test_gauge_check_in_blocks_writes_the_csv_of_one_residual_call(
                               pts)
     want = render_csv(("x0", "x1", "x2", "residual"),
                       np.column_stack((pts, res)))
-    assert (out / "00_gauge-check.csv").read_bytes() == want.encode("utf-8")
+    assert_same_lines((out / "00_gauge-check.csv").read_bytes().decode("utf-8"),
+                      want)
     results = summary_of(out)["tasks"][0]["results"]
     assert results["points"] == len(pts)
     assert results["max_residual"] == float(np.max(res))

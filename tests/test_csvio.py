@@ -65,15 +65,15 @@ def test_float_array_renders_the_bytes_of_its_rows():
     rows[:3] = np.reshape(EDGE_FLOATS, (3, 4))
     header = ("a", "b", "c", "d")
     text = render_csv(header, rows)
-    assert text == render_csv(header, rows.tolist())
+    assert_same_lines(text, render_csv(header, rows.tolist()))
     # the first three lines carry the edge values through the %.17g rule
     assert text.split("\n")[1:4] == [
         "-0,4.9406564584124654e-324,0.10000000000000001,3",
         "1.152921504606847e+18,1e+20,-1e+20,inf",
         "-inf,nan,0.33333333333333331,-2.4999999999999998e-308"]
     # a strided view renders like its contiguous copy
-    assert render_csv(header, rows[::3]) == render_csv(header,
-                                                       rows[::3].tolist())
+    assert_same_lines(render_csv(header, rows[::3]),
+                      render_csv(header, rows[::3].tolist()))
 
 
 # values whose %.17g text a dedup keyed by float value would get wrong or
@@ -106,16 +106,20 @@ REPEATED_ARRAYS = {
 }
 
 
+def assert_same_lines(text, expected):
+    """text == expected, reporting the first differing line alone: pytest's
+    diff of two long texts is quadratic and can run for minutes."""
+    lines, want = text.split("\n"), expected.split("\n")
+    mismatch = next(((i, a, b) for i, (a, b) in enumerate(zip(lines, want))
+                     if a != b), None)
+    assert mismatch is None
+    assert len(lines) == len(want)
+
+
 def _assert_renders_like_its_rows(rows):
     header = tuple(f"c{j}" for j in range(rows.shape[1]))
-    lines = render_csv(header, rows).split("\n")
-    expected = render_csv(header, rows.tolist()).split("\n")
-    # the first differing line alone, since a diff of the whole text is slow
-    mismatch = next(((i, line, want) for i, (line, want)
-                     in enumerate(zip(lines, expected)) if line != want),
-                    None)
-    assert mismatch is None
-    assert len(lines) == len(expected)
+    assert_same_lines(render_csv(header, rows),
+                      render_csv(header, rows.tolist()))
 
 
 @pytest.mark.parametrize("name", sorted(REPEATED_ARRAYS))
@@ -172,7 +176,8 @@ def test_render_into_a_file_writes_the_bytes_it_returns(tmp_path, rows):
     target = tmp_path / "out.csv"
     with open(target, "w", encoding="utf-8", newline="") as fh:
         assert render_csv(header, rows, fh) is None
-    assert target.read_bytes() == render_csv(header, rows).encode("utf-8")
+    assert_same_lines(target.read_bytes().decode("utf-8"),
+                      render_csv(header, rows))
 
 
 def test_emit_failure_reports_target(tmp_path):

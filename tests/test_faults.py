@@ -7,6 +7,8 @@ them all.  The checks are tests of this suite, called directly.
 """
 
 import dataclasses
+import itertools
+import math
 import tempfile
 from fractions import Fraction
 from functools import partial
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_cli
 import test_csvio
 import test_exact
 import test_fields
@@ -25,9 +28,10 @@ import test_geodesics
 import test_golden
 import test_packets
 import test_paths
+import test_scenario
 import test_structures
 from scalefield import csvio, exact, fields, gauge, geodesics, packets, paths
-from scalefield import structures
+from scalefield import scenario, structures
 from scalefield.errors import NotRepresentable
 from scalefield.exact import as_exact
 from scalefield.structures import (
@@ -123,6 +127,50 @@ def _relabel_with_t_and_s_swapped(v, t, s, kind="rational"):
     return ScaledValue(ScaledStructure(kind, sv, sv), sv / tv * as_exact(raw))
 
 
+_build_spec = scenario._build_spec
+
+
+def _build_spec_with_unit_weights(spec, manifold, label):
+    """scenario._build_spec with every combination weight read as 1.0; its
+    recursion into the terms calls this replacement too."""
+    if spec["family"] == "combination":
+        spec = {**spec, "terms": tuple({**t, "weight": 1.0}
+                                       for t in spec["terms"])}
+    return _build_spec(spec, manifold, label)
+
+
+def _tabulated_with_axes_reversed(manifold, values):
+    """TabulatedField built on its value grid with the axes reversed."""
+    return fields.TabulatedField(manifold, np.transpose(values))
+
+
+def _tabulated_value_with_weights_swapped(self, pts):
+    """TabulatedField.value with the corner weights 1 - y and y swapped."""
+    pts = np.asarray(pts, dtype=float)
+    xi = pts.reshape(-1, len(self._axes))
+    base = 0
+    sides = []
+    for a, (nodes, stride) in enumerate(self._axes):
+        x = xi[:, a]
+        i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+                    0, len(nodes) - 2)
+        y = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+        base = base + i * stride
+        sides.append(((0, y), (stride, 1 - y)))
+    out = np.array([0.0])
+    for corner in itertools.product(*sides):
+        offset = sum(o for o, _ in corner)
+        weight = math.prod((w for _, w in corner), start=1.0)
+        out = out + self._flat[base + offset] * weight
+    out[np.isnan(xi).any(axis=-1)] = np.nan
+    return out.reshape(pts.shape[:-1])
+
+
+def _tabulated_run():
+    with tempfile.TemporaryDirectory() as out:
+        test_cli.test_tabulated_theta_serves_single_point_tasks(Path(out))
+
+
 def _demo_digests():
     with tempfile.TemporaryDirectory() as out:
         test_golden.test_demo_outputs_match_golden_digests(Path(out))
@@ -159,6 +207,10 @@ REPEATS = tuple(
     partial(test_csvio.test_float_array_with_repeats_renders_the_bytes_of_its_rows,
             name)
     for name in ("signed-zeros", "across-blocks", "column-slice"))
+TABULATED = (test_fields.test_tabulated_field_matches_sampled_function,
+             *(partial(test_fields.test_tabulated_field_matches_scipy_bit_for_bit,
+                       *case) for case in ((3, 6), (4, 5))),
+             _tabulated_run)
 RESIDUALS = (CRITERION_08, test_gauge.test_invariance_residual_is_machine_small,
              test_gauge.test_residual_in_central_difference_mode, _demo_digests)
 
@@ -209,6 +261,17 @@ FAULTS = {
         fields, "central_difference", _central_difference_over_h,
         (CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,
          test_fields.test_central_gradient_is_second_order)),
+    "combination weights read as 1.0": (
+        scenario, "_build_spec", _build_spec_with_unit_weights,
+        (test_scenario.test_combination_terms_parse_recursively,)),
+    "tabulated values built with their axes reversed": (
+        scenario, "_FAMILIES",
+        {**scenario._FAMILIES, "tabulated": (_tabulated_with_axes_reversed,
+                                             scenario._FAMILY_KEYS["tabulated"])},
+        (_tabulated_run,)),
+    "tabulated corner weights 1 - y and y swapped": (
+        fields.TabulatedField, "value", _tabulated_value_with_weights_swapped,
+        TABULATED),
     # criterion 02 stays green: v -> (s/t) v composes as exactly as (t/s) v
     "relabel with t and s swapped": (
         structures.relabel, "__code__", _relabel_with_t_and_s_swapped.__code__,

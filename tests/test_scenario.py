@@ -8,6 +8,7 @@ trip test pins the documented defaults (phi, gradient mode, task knobs).
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scalefield.errors import ScenarioParseError, ScenarioValidationError
 from scalefield.fields import (
     CombinationField,
     ConstantField,
+    FieldSpec,
     GaussianField,
     LinearField,
     TabulatedField,
@@ -28,6 +30,9 @@ from scalefield.scenario import (
     parse_scenario_text,
     validate_scenario,
 )
+
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
 
 def base():
@@ -56,12 +61,12 @@ def fail_with(doc, fragment):
 
 def test_minimal_scenario_parses_with_defaults():
     sc = parse(base())
-    assert sc.manifold.dimension == 3
-    assert sc.manifold.nodes == 9 and sc.manifold.spacing is None
-    assert sc.manifold.signature == "euclidean"
-    assert sc.fields.phi == ConstantField(0.0)
-    assert sc.fields.gradient_mode == "analytic"
-    assert sc.fields.gradient_step is None
+    assert sc.manifold["dimension"] == 3
+    assert sc.manifold["nodes"] == 9 and sc.manifold["spacing"] is None
+    assert sc.manifold["signature"] == "euclidean"
+    assert sc.fields["phi"] == {"family": "constant", "constant": 0.0}
+    assert sc.fields["gradient_mode"] == "analytic"
+    assert sc.fields["gradient_step"] is None
     assert sc.gauge is None and sc.seed is None and sc.output is None
     task = sc.tasks[0]
     assert task.params["steps"] == 1000
@@ -146,7 +151,7 @@ def test_signature_is_fixed_by_the_dimension():
     doc["manifold"]["signature"] = "minkowski"
     fail_with(doc, r"scenario\.manifold\.signature.*euclidean")
     doc["manifold"]["signature"] = "euclidean"
-    assert parse(doc).manifold.signature == "euclidean"
+    assert parse(doc).manifold["signature"] == "euclidean"
 
 
 def test_linear_coefficients_length_is_checked():
@@ -173,10 +178,91 @@ def test_combination_terms_parse_recursively():
                                       "coefficients": [0.0, 1.0, 0.0]}},
         ],
     }
-    theta = parse(doc).fields.theta
+    parsed = parse(doc).fields["theta"]
+    assert parsed["family"] == "combination"
+    assert parsed["terms"][0] == {
+        "weight": 2.0, "spec": {"family": "constant", "constant": 1.0}}
+    assert parsed["terms"][1]["spec"]["family"] == "linear"
+    # validation builds the field, weights and all
+    theta = ok(doc).field.theta
     assert isinstance(theta, CombinationField)
-    assert theta.terms[0] == (2.0, ConstantField(1.0))
-    assert isinstance(theta.terms[1][1], LinearField)
+    assert theta.terms == ((2.0, ConstantField(1.0)),
+                           (-1.0, LinearField((0.0, 1.0, 0.0))))
+    assert theta.value(np.array([0.0, 3.0, 0.0])) == 2.0 - 3.0
+
+
+PLAIN = (dict, tuple, list, str, int, float, Fraction, type(None))
+
+
+def _library_objects(value, path="scenario"):
+    """Every value in a parsed tree that is not plain data, by path."""
+    if not isinstance(value, PLAIN):
+        return [(path, type(value).__name__)]
+    if isinstance(value, dict):
+        return [bad for key, item in value.items()
+                for bad in _library_objects(item, f"{path}.{key}")]
+    if isinstance(value, (tuple, list)):
+        return [bad for i, item in enumerate(value)
+                for bad in _library_objects(item, f"{path}[{i}]")]
+    return []
+
+
+def _tabulated_doc():
+    doc = base()
+    doc["manifold"]["nodes"] = 3
+    doc["fields"] = {"theta": {"family": "tabulated",
+                               "values": [[[0.5] * 3] * 3] * 3},
+                     "gradient_mode": "central"}
+    return doc
+
+
+def _nested_combination_doc():
+    doc = base()
+    gaussian = {"family": "gaussian", "amplitude": 0.5,
+                "center": [0.0, 0.0, 0.0], "width": 0.8, "axes": [1, 2]}
+    inner = {"family": "combination",
+             "terms": [{"weight": 0.5, "spec": gaussian},
+                       {"weight": 2.0, "spec": {"family": "radial_polynomial",
+                                                "coefficients": [0.0, 0.1]}}]}
+    doc["fields"]["theta"] = {"family": "combination",
+                              "terms": [{"weight": -1.0, "spec": inner}]}
+    doc["gauge"] = {"g_r": 1.0, "g_i": 1.0, "h_i": 0.5,
+                    "photon": [inner] * 3, "alpha": gaussian,
+                    "gamma": {"family": "constant", "constant": 0.1}}
+    return doc
+
+
+@pytest.mark.parametrize("name", ["demo", "tabulated", "nested-combination"])
+def test_parsing_yields_plain_data(name):
+    if name == "demo":
+        sc = parse_scenario(str(DEMO))
+    else:
+        sc = parse({"tabulated": _tabulated_doc,
+                    "nested-combination": _nested_combination_doc}[name]())
+    blocks = {"manifold": sc.manifold, "fields": sc.fields, "gauge": sc.gauge,
+              "tasks": [t.params for t in sc.tasks], "seed": sc.seed,
+              "output": sc.output}
+    assert _library_objects(blocks) == []
+    # and the data are a valid scenario, whose specs validation builds
+    assert isinstance(validate_scenario(sc).field.theta, FieldSpec)
+
+
+def test_validation_builds_a_combination_once(monkeypatch):
+    built = []
+    post_init = CombinationField.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CombinationField, "__post_init__", counted)
+    doc = base()
+    doc["fields"]["theta"] = {
+        "family": "combination",
+        "terms": [{"weight": 2.0,
+                   "spec": {"family": "constant", "constant": 1.0}}]}
+    rt = validate_scenario(parse(doc))
+    assert built == [rt.field.theta]
 
 
 def test_exact_values_accept_integers_and_fraction_strings():
