@@ -8,6 +8,9 @@ and imaginary connection components (Gamma, Delta) = (grad theta, grad phi),
 and ``connection_factor``, the one f(y)/f(x) that outcomes and packets use.
 Every finite difference in the package, of theta, phi, a transform's alpha
 or a matter field psi, is ``central_difference`` of a function of points.
+Inside a ``shared_evaluation`` block, which the gauge residual opens for
+each call, every spec is evaluated once per point array and every central
+difference takes the same shifted arrays for one (points, axis, step).
 The connection-modified derivative lives in ``gauge``: without a gauge field
 it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
@@ -16,8 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -210,7 +216,9 @@ class TabulatedField(FieldSpec):
             raise ValueError(f"points must have {len(self._axes)} "
                              f"components, got shape {pts.shape}")
         xi = pts.reshape(-1, len(self._axes))
+        n, dim = xi.shape
         base = 0
+        nan = np.zeros(n, dtype=bool)
         sides = []  # per axis: (flat offset, weight) of the lower and upper node
         for a, (nodes, stride) in enumerate(self._axes):
             x = xi[:, a]
@@ -218,13 +226,33 @@ class TabulatedField(FieldSpec):
                         0, len(nodes) - 2)
             y = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
             base = base + i * stride
+            nan |= np.isnan(x)
             sides.append(((0, 1 - y), (stride, y)))
-        out = np.array([0.0])
-        for corner in itertools.product(*sides):
-            offset = sum(o for o, _ in corner)
-            weight = math.prod((w for _, w in corner), start=1.0)
-            out = out + self._flat[base + offset] * weight
-        out[np.isnan(xi).any(axis=-1)] = np.nan
+        # A corner's weight is the product of its axis weights in axis
+        # order; corners come in product order, so prefix[a], the product
+        # over axes 0..a, is recomputed only from the first axis whose side
+        # changed.  1.0 * w0 is w0 bit for bit, so no leading 1.0 is needed.
+        prefix = [None] + [np.empty(n) for _ in range(1, dim)]
+        index = np.empty(n, dtype=np.intp)
+        term = np.empty(n)
+        out = np.zeros(n)
+        last = None
+        for corner in itertools.product((0, 1), repeat=dim):
+            first = 0 if last is None else next(
+                a for a in range(dim) if corner[a] != last[a])
+            for a in range(first, dim):
+                w = sides[a][corner[a]][1]
+                prefix[a] = w if a == 0 else np.multiply(prefix[a - 1], w,
+                                                         out=prefix[a])
+            last = corner
+            offset = sum(sides[a][c][0] for a, c in enumerate(corner))
+            # indices lie inside the table by construction, so clipping
+            # never acts; it only lets take write into term unbuffered
+            np.take(self._flat, np.add(base, offset, out=index), out=term,
+                    mode="clip")
+            np.multiply(term, prefix[-1], out=term)
+            np.add(out, term, out=out)
+        out[nan] = np.nan
         return out.reshape(pts.shape[:-1])
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
@@ -250,7 +278,7 @@ class CombinationField(FieldSpec):
     def value(self, pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape[:-1])
         for c, s in self.terms:
-            out = out + c * s.value(pts)
+            out = out + c * evaluate(s, pts)
         return out
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
@@ -264,13 +292,71 @@ class CombinationField(FieldSpec):
         return all(c == 0 or s.is_constant for c, s in self.terms)
 
 
+class _Share:
+    """Shifted stencil arrays and spec values of one block, keyed by the
+    identity of their arrays and specs.  Each entry holds the objects its
+    key names, so no id is reused while the block lasts."""
+
+    def __init__(self) -> None:
+        # (id(pts), axis, h) -> (pts, pts + h e_axis, pts - h e_axis)
+        self.stencils: Dict[tuple, tuple] = {}
+        # (id(spec), id(pts)) -> (spec, pts, spec.value(pts))
+        self.values: Dict[tuple, tuple] = {}
+
+
+_SHARE: ContextVar[Optional[_Share]] = ContextVar("scalefield_share",
+                                                  default=None)
+
+
+@contextmanager
+def shared_evaluation() -> Iterator[None]:
+    """Evaluate each spec once per point array inside the block.
+
+    The share ends with the block, also when the block raises, so no value
+    outlives the call that opened it.
+    """
+    token = _SHARE.set(_Share())
+    try:
+        yield
+    finally:
+        _SHARE.reset(token)
+
+
+def evaluate(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
+    """spec.value(pts), computed once per (spec, pts) inside a share.  The
+    result is shared, so callers must not write into it."""
+    share = _SHARE.get()
+    if share is None:
+        return spec.value(pts)
+    key = (id(spec), id(pts))
+    entry = share.values.get(key)
+    if entry is None:
+        entry = share.values[key] = (spec, pts, spec.value(pts))
+    return entry[2]
+
+
+def _stencil(pts: np.ndarray, axis: int, h: float
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """pts shifted by +h and by -h along ``axis``; inside a share, the same
+    two arrays for every caller."""
+    share = _SHARE.get()
+    key = (id(pts), axis, h)
+    if share is not None and key in share.stencils:
+        return share.stencils[key][1:]
+    offset = np.zeros(pts.shape[-1])
+    offset[axis] = h
+    plus, minus = pts + offset, pts - offset
+    if share is not None:
+        share.stencils[key] = (pts, plus, minus)
+    return plus, minus
+
+
 def central_difference(fn: Callable[[np.ndarray], np.ndarray],
                        pts: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order central difference along ``axis``, step h, of ``fn``,
     which maps points (..., dim) to real or complex values (...)."""
-    offset = np.zeros(pts.shape[-1])
-    offset[axis] = h
-    return (fn(pts + offset) - fn(pts - offset)) / (2.0 * h)
+    plus, minus = _stencil(pts, axis, h)
+    return (fn(plus) - fn(minus)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -290,7 +376,8 @@ class AxisDerivativeField(FieldSpec):
     def value(self, pts: np.ndarray) -> np.ndarray:
         if self.fd_step is None:
             return self.base.gradient(pts)[..., self.axis]
-        return central_difference(self.base.value, pts, self.axis, self.fd_step)
+        return central_difference(partial(evaluate, self.base), pts,
+                                  self.axis, self.fd_step)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ScenarioValidationError(
@@ -361,9 +448,10 @@ class ScalingField:
             return spec.gradient(pts)
         self.require_stencil(pts)
         h = self.gradient_step
+        values = partial(evaluate, spec)
         out = np.empty(pts.shape)
         for axis in range(self.manifold.dimension):
-            out[..., axis] = central_difference(spec.value, pts, axis, h)
+            out[..., axis] = central_difference(values, pts, axis, h)
         return out
 
     def gamma_delta(self, x) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,10 @@ A transform is an explicit split beta = alpha + gamma of a phase function;
 applying it shifts the photon components by -(1/h_i) d_mu alpha and the
 imaginary connection by -(1/g_i) d_mu gamma while Gamma stays put, so the
 bracket above is invariant.  ``invariance_residual`` measures how far a
-transformed configuration drifts from that identity.
+transformed configuration drifts from that identity.  It evaluates each
+field once per stencil point: the transformed pair embeds phi, theta and
+the photon again, and d beta differences alpha and gamma again, so the
+call's terms share their values (``fields.shared_evaluation``).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .fields import (
     FieldSpec,
     ScalingField,
     central_difference,
+    evaluate,
+    shared_evaluation,
 )
 
 
@@ -43,7 +48,7 @@ class GaugeConfig:
         object.__setattr__(self, "photon", tuple(self.photon))
 
     def photon_at(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack([b.value(pts) for b in self.photon], axis=-1)
+        return np.stack([evaluate(b, pts) for b in self.photon], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -141,12 +146,14 @@ def invariance_residual(fieldref: ScalingField, cfg: GaugeConfig,
 
     Zero (to rounding) whenever the transformed pair came from
     ``apply_transform``; any sign or factor corruption shows up as a
-    residual of the size of the corrupted term.
+    residual of the size of the corrupted term.  The three terms below
+    share one evaluation of each spec per stencil point.
     """
     _check_dim(cfg, fieldref)
     pts = fieldref.manifold.require_inside(x)
     new_field, new_cfg = apply_transform(fieldref, cfg, transform)
-    before = gauge_connection(fieldref, cfg, pts)
-    after = gauge_connection(new_field, new_cfg, pts)
-    dbeta = fieldref.gradient_of(transform.beta, pts)
+    with shared_evaluation():
+        before = gauge_connection(fieldref, cfg, pts)
+        after = gauge_connection(new_field, new_cfg, pts)
+        dbeta = fieldref.gradient_of(transform.beta, pts)
     return np.max(np.abs(after + 1j * dbeta - before), axis=-1)

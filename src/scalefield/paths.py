@@ -12,7 +12,9 @@ polyline is integrated segment by segment (exactly, for constant speed)
 while analytic paths keep the clean fourth-order error decay.  Each piece is
 walked in blocks of at most 2**16 nodes, whose partial sums add up to the
 length, so a length takes the same memory at any number of steps; a piece
-that fits in one block is summed exactly as in a single pass.
+that fits in one block is summed exactly as in a single pass.  One walk
+sums both the plain and the weighted integrand (``path_lengths``), so a
+path's two lengths cost one evaluation of its tangents.
 """
 
 from __future__ import annotations
@@ -257,40 +259,48 @@ def _simpson_blocks(a: float, b: float, n: int
 
 def _integrate(q: Path, m: Manifold, steps: int,
                weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-               ) -> float:
+               ) -> Tuple[float, float]:
+    """(unweighted, weighted) Simpson sums of the length integrand, from one
+    walk over the nodes; the weighted sum stays 0.0 without a weight."""
     if steps < 2:
         raise ValueError("need at least 2 quadrature steps")
     eta = m.metric_diagonal
-    total = 0.0
+    total = weighted = 0.0
     max_speed = 0.0
     for a, b, n in simpson_pieces(q, steps):
         for s, w in _simpson_blocks(a, b, n):
             v = q.piece_velocity(s, a, b)
             g = np.sqrt(np.abs(np.sum(eta * v * v, axis=-1)))
             max_speed = max(max_speed, float(np.max(np.abs(v))))
-            if weight is not None:
-                g = g * weight(q.position(s))
             total += float(np.dot(w, g))
+            if weight is not None:
+                weighted += float(np.dot(w, g * weight(q.position(s))))
     if max_speed == 0.0:
         raise DegenerateParameterization("tangent vanishes along the path")
-    return total
+    return total, weighted
 
 
 def local_path_length(q: Path, m: Manifold, steps: int = 1000) -> float:
     """Unweighted length, composite Simpson with `steps` intervals."""
-    return _integrate(q, m, steps)
+    return _integrate(q, m, steps)[0]
 
 
-def scaled_path_length(q: Path, fieldref: ScalingField, x_ref,
-                       steps: int = 1000) -> float:
-    """Length with weight exp(theta(q(s)) - theta(x_ref))."""
-    m = fieldref.manifold
+def path_lengths(q: Path, fieldref: ScalingField, x_ref,
+                 steps: int = 1000) -> Tuple[float, float]:
+    """(local, scaled) lengths of q from one Simpson walk: the scaled one
+    weights the integrand by exp(theta(q(s)) - theta(x_ref))."""
     t0 = float(fieldref.theta_at(x_ref))
 
     def weight(pts: np.ndarray) -> np.ndarray:
         return np.exp(fieldref.theta_at(pts) - t0)
 
-    return _integrate(q, m, steps, weight)
+    return _integrate(q, fieldref.manifold, steps, weight)
+
+
+def scaled_path_length(q: Path, fieldref: ScalingField, x_ref,
+                       steps: int = 1000) -> float:
+    """Length with weight exp(theta(q(s)) - theta(x_ref))."""
+    return path_lengths(q, fieldref, x_ref, steps)[1]
 
 
 def change_reference(length: float, fieldref: ScalingField, frm, to) -> float:

@@ -43,7 +43,9 @@ from .geodesics import integrate_geodesic
 from .manifold import Manifold
 from .outcomes import compare_outcomes  # noqa: F401 (perfbench traces it)
 from .packets import gaussian_packet, packet_norm_squared, scale_wave_packet
-from .paths import local_path_length, scaled_path_length
+from .paths import path_lengths
+# perfbench traces the two one-length calls by these names
+from .paths import local_path_length, scaled_path_length  # noqa: F401
 from .scenario import (
     SIGNATURES,
     RuntimeScenario,
@@ -59,8 +61,10 @@ EXIT_VALIDATION_ERROR = 3
 
 OUTPUT_ENV_VAR = "SCALEFIELD_OUT"
 
-# interior points per invariance_residual call of a gauge check
-_GAUGE_BLOCK = 1 << 14
+# interior points per invariance_residual call of a gauge check; with the
+# stencil values that one call shares, a block takes about as much memory
+# as a pathlen walk of 2**16 nodes (11 MiB in 4d)
+_GAUGE_BLOCK = 1 << 13
 
 
 def _jsonable(value: Any) -> Any:
@@ -121,8 +125,7 @@ def _run_geodesic(p, state, rt: RuntimeScenario, seed: Optional[int]):
 
 def _run_pathlen(p, built, rt: RuntimeScenario, seed: Optional[int]):
     q, x_ref = built
-    local = local_path_length(q, rt.manifold, p["steps"])
-    scaled = scaled_path_length(q, rt.field, x_ref, p["steps"])
+    local, scaled = path_lengths(q, rt.field, x_ref, p["steps"])
     rows = [(p["steps"], local, scaled)]
     results = {
         "local_length": local,

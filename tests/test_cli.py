@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -18,7 +20,15 @@ from hypothesis import strategies as st
 from scalefield import runner, scenario
 from scalefield.cli import main
 from scalefield.csvio import render_csv
-from scalefield.gauge import invariance_residual
+from scalefield.fields import (
+    ConstantField,
+    GaussianField,
+    LinearField,
+    ScalingField,
+    TabulatedField,
+)
+from scalefield.gauge import GaugeConfig, GaugeTransform, invariance_residual
+from scalefield.manifold import Manifold
 from scalefield.outcomes import compare_outcomes
 from scalefield.runner import OUTPUT_ENV_VAR, resolve_output_dir
 from scalefield.scenario import parse_scenario
@@ -468,6 +478,42 @@ def test_gauge_check_in_blocks_writes_the_csv_of_one_residual_call(
     results = summary_of(out)["tasks"][0]["results"]
     assert results["points"] == len(pts)
     assert results["max_residual"] == float(np.max(res))
+
+
+def _gauge_check_working_peak(nodes):
+    """tracemalloc peak of a stride-1 gauge-check task on a nodes**4 box with
+    the grids workload's kinds of specs, less the (N, dim + 1) table the
+    handler returns."""
+    m = Manifold.box([(-2.0, 2.0)] * 4, nodes)
+    wave = np.cos(m.grid_points() @ np.array([0.7, -0.4, 0.9, 0.3]))
+    rt = types.SimpleNamespace(
+        manifold=m,
+        field=ScalingField(m, GaussianField(0.5, (0.1, -0.2, 0.3, 0.0), 1.1),
+                           TabulatedField(m, 0.3 * wave),
+                           gradient_mode="central"),
+        gauge_config=GaugeConfig(
+            1.0, 0.8, 0.6,
+            (ConstantField(0.1), LinearField((0.0, 0.1, -0.2, 0.0)),
+             ConstantField(-0.2), LinearField((0.1, 0.0, 0.0, 0.2)))))
+    transform = GaugeTransform(
+        GaussianField(0.4, (0.0, 0.2, -0.1, 0.3), 1.2),
+        LinearField((0.2, -0.1, 0.3, 0.1)))
+    tracemalloc.start()
+    try:
+        _, rows, _ = runner._run_gauge_check({"stride": 1}, transform, rt,
+                                             None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > runner._GAUGE_BLOCK
+    return peak - rows.nbytes
+
+
+def test_gauge_check_memory_does_not_grow_with_the_interior():
+    # 13**4 and 17**4 interior points: the blocks' shared stencil values
+    # are dropped with each block, so only the table grows
+    small, large = (_gauge_check_working_peak(n) for n in (15, 19))
+    assert large / small < 1.25
 
 
 def test_unwritable_csv_fails_its_task_with_an_io_error(tmp_path, capsys):

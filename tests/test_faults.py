@@ -110,6 +110,37 @@ def _transform_with_flipped_shift(coupling: str):
     return apply
 
 
+def _evaluate_keyed_by_spec(spec, pts):
+    """fields.evaluate with the share keyed by the spec alone, so a spec's
+    values on the first point array it meets serve every later array."""
+    share = fields._SHARE.get()
+    if share is None:
+        return spec.value(pts)
+    entry = share.values.get(id(spec))
+    if entry is None:
+        entry = share.values[id(spec)] = (spec, pts, spec.value(pts))
+    return entry[2]
+
+
+_stencil = fields._stencil
+
+
+def _stencil_with_plus_for_both(pts, axis, h):
+    """fields._stencil handing out the +h array for both shifts inside a
+    share."""
+    plus, minus = _stencil(pts, axis, h)
+    return (plus, plus) if fields._SHARE.get() is not None else (plus, minus)
+
+
+_integrate = paths._integrate
+
+
+def _integrate_dropping_the_weight(q, m, steps, weight=None):
+    """paths._integrate whose weighted sum leaves the weight out."""
+    total, weighted = _integrate(q, m, steps)
+    return total, total if weight is not None else weighted
+
+
 def _relabel_with_t_and_s_swapped(v, t, s, kind="rational"):
     """structures.relabel mapping v -> (s/t) v.  Its code replaces relabel's,
     so every name bound to relabel sees the fault; it reads only names that
@@ -211,6 +242,8 @@ TABULATED = (test_fields.test_tabulated_field_matches_sampled_function,
              *(partial(test_fields.test_tabulated_field_matches_scipy_bit_for_bit,
                        *case) for case in ((3, 6), (4, 5))),
              _tabulated_run)
+SHARED = (test_gauge.test_residual_evaluates_each_field_once_per_stencil_point,
+          test_gauge.test_shared_residual_equals_the_residual_of_its_unshared_terms)
 RESIDUALS = (CRITERION_08, test_gauge.test_invariance_residual_is_machine_small,
              test_gauge.test_residual_in_central_difference_mode, _demo_digests)
 
@@ -229,6 +262,9 @@ FAULTS = {
         property(lambda tr: tr.velocities),
         (*PINS, test_geodesics.test_flat_field_gives_straight_line,
          CRITERION_05, _demo_digests)),
+    "weighted Simpson sum without its weight": (
+        paths, "_integrate", _integrate_dropping_the_weight,
+        (CRITERION_06, CRITERION_07, _demo_digests)),
     "Simpson replaced by the trapezoid rule": (
         paths, "_simpson_blocks", _trapezoid_blocks,
         (CRITERION_06, CRITERION_07)),
@@ -257,6 +293,13 @@ FAULTS = {
     "phi shift over g_i sign flipped": (
         gauge, "apply_transform", _transform_with_flipped_shift("g_i"),
         RESIDUALS),
+    # criterion 08 and the demo run in analytic mode, where no spec meets
+    # two point arrays; in central mode these faults zero every term of the
+    # residual alike, so only the two share tests see them
+    "evaluation share keyed by the spec alone": (
+        fields, "evaluate", _evaluate_keyed_by_spec, SHARED),
+    "evaluation share giving the +h array for both shifts": (
+        fields, "_stencil", _stencil_with_plus_for_both, SHARED),
     "central difference of theta and phi over h where 2h belongs": (
         fields, "central_difference", _central_difference_over_h,
         (CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,

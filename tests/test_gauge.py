@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from scalefield.errors import ZeroCoupling
+from scalefield.errors import BoundaryPoint, ZeroCoupling
 from scalefield.fields import (
     CombinationField,
     ConstantField,
+    FieldSpec,
     GaussianField,
     LinearField,
     ScalingField,
+    TabulatedField,
 )
 from scalefield.gauge import (
     GaugeConfig,
@@ -263,3 +265,92 @@ def test_residual_in_central_difference_mode():
     x = np.zeros(4)
     h = f.gradient_step
     assert float(invariance_residual(f, cfg, tr, x)) < h ** 2
+
+
+class Counted(FieldSpec):
+    """A spec that records the leading shape of each point array it is
+    evaluated on; with ``fails`` set it raises BoundaryPoint on arrays of
+    that leading shape instead."""
+
+    has_analytic_gradient = False
+
+    def __init__(self, spec, fails=None):
+        self.spec = spec
+        self.fails = fails
+        self.shapes = []
+
+    def value(self, pts):
+        if pts.shape[:-1] == self.fails:
+            raise BoundaryPoint("refused")
+        self.shapes.append(pts.shape[:-1])
+        return self.spec.value(pts)
+
+    @property
+    def is_constant(self):
+        return self.spec.is_constant
+
+
+def _counted_gauge(gamma_fails=False):
+    """The grids workload's mix of specs, each Counted, in central mode on
+    the 7**4 interior points of a 9-node box: the leaves, the field, the
+    couplings, the transform and the points."""
+    m = spacetime(nodes=9, half=2.0)
+    pts = m.interior_grid_points().reshape(-1, 4)
+    wave = np.cos(m.grid_points() @ np.array([0.7, -0.4, 0.9, 0.3]) + 0.2)
+    leaves = {
+        "theta": Counted(GaussianField(0.5, (0.1, -0.2, 0.3, 0.0), 1.1)),
+        "phi": Counted(TabulatedField(m, 0.3 * wave)),
+        "alpha": Counted(GaussianField(0.4, (0.0, 0.2, -0.1, 0.3), 1.2)),
+        "gamma": Counted(LinearField((0.2, -0.1, 0.3, 0.1)),
+                         fails=pts.shape[:-1] if gamma_fails else None),
+    }
+    f = ScalingField(m, leaves["theta"], leaves["phi"],
+                     gradient_mode="central")
+    cfg = GaugeConfig(1.0, 0.8, 0.6,
+                      (ConstantField(0.1), LinearField((0.0, 0.1, -0.2, 0.0)),
+                       ConstantField(-0.2), LinearField((0.1, 0.0, 0.0, 0.2))))
+    tr = GaugeTransform(leaves["alpha"], leaves["gamma"])
+    for spec in leaves.values():
+        spec.shapes.clear()
+    return leaves, f, cfg, tr, pts
+
+
+def test_residual_evaluates_each_field_once_per_stencil_point():
+    leaves, f, cfg, tr, pts = _counted_gauge()
+    invariance_residual(f, cfg, tr, pts)
+    dim = pts.shape[-1]
+    for name, spec in leaves.items():
+        # the block's own stencil points, 2 dim of them per point; at most
+        # one more call is apply_transform's probe at the box's centre
+        assert spec.shapes.count(pts.shape[:-1]) == 2 * dim, name
+        assert len(spec.shapes) <= 2 * dim + 1, name
+
+
+@pytest.mark.parametrize("ending", ["return", "BoundaryPoint"])
+def test_the_shared_values_end_with_the_residual_call(ending):
+    leaves, f, cfg, tr, pts = _counted_gauge(
+        gamma_fails=ending == "BoundaryPoint")
+    theta = leaves["theta"]
+    if ending == "return":
+        invariance_residual(f, cfg, tr, pts)
+    else:
+        # gamma fails in the transformed Delta, after theta's values are in
+        with pytest.raises(BoundaryPoint):
+            invariance_residual(f, cfg, tr, pts)
+    dim = pts.shape[-1]
+    assert theta.shapes.count(pts.shape[:-1]) == 2 * dim
+    theta.shapes.clear()
+    f.gradient_of(theta, pts)
+    f.gradient_of(theta, pts)
+    assert theta.shapes.count(pts.shape[:-1]) == 2 * 2 * dim
+
+
+def test_shared_residual_equals_the_residual_of_its_unshared_terms():
+    leaves, f, cfg, tr, pts = _counted_gauge()
+    new_field, new_cfg = apply_transform(f, cfg, tr)
+    before = gauge_connection(f, cfg, pts)
+    after = gauge_connection(new_field, new_cfg, pts)
+    dbeta = f.gradient_of(tr.beta, pts)
+    want = np.max(np.abs(after + 1j * dbeta - before), axis=-1)
+    assert np.count_nonzero(want) > len(want) // 2
+    assert np.array_equal(invariance_residual(f, cfg, tr, pts), want)

@@ -20,7 +20,9 @@ from scalefield.paths import (
     SplinePath,
     change_reference,
     local_path_length,
+    path_lengths,
     scaled_path_length,
+    simpson_pieces,
     variational_check,
     _simpson_blocks,
 )
@@ -115,6 +117,45 @@ def test_scaled_length_memory_does_not_grow_with_steps():
     peaks = [_peak_bytes(lambda: scaled_path_length(q, f, np.zeros(4), steps))
              for steps in (2 ** 17, 2 ** 20)]
     assert peaks[1] / peaks[0] < 1.25
+
+
+_RNG = np.random.default_rng(21)
+_VERTICES = np.array([(-1.0, 0.2, -0.5, 0.0), (-0.2, 1.1, 0.3, 0.4),
+                      (0.6, 0.9, 1.2, -0.3), (1.3, -0.4, 0.8, 0.5)])
+ONE_WALK_PATHS = {
+    # more nodes than one block, so the walk's partial sums are exercised
+    "segment": (SegmentPath(np.array([-1.5, -0.7, -1.2, -0.4]),
+                            np.array([1.1, 1.6, 0.3, 1.4])),
+                3 * _BLOCK_NODES),
+    "polyline": (PolylinePath(_VERTICES), 1000),
+    "spline": (SplinePath(_RNG.uniform(-1.0, 1.0, (7, 4)),
+                          _RNG.uniform(-1.0, 1.0, (7, 4))), 1000),
+    "perturbed": (PerturbedPath(PolylinePath(_VERTICES),
+                                _RNG.uniform(-0.1, 0.1, (5, 3)), (1, 2, 3)),
+                  1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_WALK_PATHS))
+def test_both_lengths_come_from_one_walk(name, monkeypatch):
+    q, steps = ONE_WALK_PATHS[name]
+    f = flat_field(BOX4, theta=GaussianField(0.4, (0.1, -0.2, 0.0, 0.3), 1.1))
+    x_ref = np.array([0.2, 0.1, -0.3, 0.0])
+    separate = (local_path_length(q, BOX4, steps),
+                scaled_path_length(q, f, x_ref, steps))
+    velocity = type(q).piece_velocity
+    calls = []
+
+    def counted(self, s, a, b):
+        if self is q:
+            calls.append(len(s))
+        return velocity(self, s, a, b)
+
+    monkeypatch.setattr(type(q), "piece_velocity", counted)
+    assert path_lengths(q, f, x_ref, steps) == separate
+    blocks = sum(-(-(n + 1) // _BLOCK_NODES)
+                 for _, _, n in simpson_pieces(q, steps))
+    assert len(calls) == blocks
 
 
 def test_polyline_elbow_is_exact():

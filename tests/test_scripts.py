@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import GOLDEN
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -44,3 +46,13 @@ def test_bump_geodesic_headline(tmp_path):
     assert lines[0] == (f"wrote 3001 states to {out}; "
                         "end [0.     1.3161 0.8396 0.    ]")
     assert lines[1] == "scaled length 3.762865696619"
+
+
+def test_output_digests_of_the_demo_are_the_golden_ones():
+    run = run_script("output_digests.py", "--seed", "3")
+    assert run.returncode == 0, run.stderr
+    digests = dict(line.split(" ") for line in run.stdout.splitlines())
+    assert {name.split("/", 1)[0] for name in digests} == {
+        "demo", "algebra", "trajectories", "grids"}
+    assert {name[len("demo/"):]: digest for name, digest in digests.items()
+            if name.startswith("demo/")} == GOLDEN
