@@ -6,8 +6,10 @@ shape (...); analytic families also provide exact gradients of shape
 exposes the quantities everything downstream consumes: f itself, the real
 and imaginary connection components (Gamma, Delta) = (grad theta, grad phi),
 and ``connection_factor``, the one f(y)/f(x) that outcomes and packets use.
-Every finite difference in the package, of theta, phi, a transform's alpha
-or a matter field psi, is ``central_difference`` of a function of points.
+How to differentiate is the scaling field's decision alone: ``gradient_of``
+and the one-axis ``partial_of`` are analytic or central by its mode, and
+every finite difference, of theta, phi, a transform's alpha or a matter
+field psi, is its ``differences`` of a function of points.
 Inside a ``shared_evaluation`` block, which the gauge residual opens for
 each call, every spec is evaluated once per point array and every central
 difference takes the same shifted arrays for one (points, axis, step).
@@ -130,7 +132,8 @@ class GaussianField(FieldSpec):
 
     @property
     def is_constant(self) -> bool:
-        return self.amplitude == 0
+        # over no axes the distance is 0: the bump is its amplitude
+        return self.amplitude == 0 or self.axes == ()
 
 
 @dataclass(frozen=True)
@@ -351,33 +354,20 @@ def _stencil(pts: np.ndarray, axis: int, h: float
     return plus, minus
 
 
-def central_difference(fn: Callable[[np.ndarray], np.ndarray],
-                       pts: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central difference along ``axis``, step h, of ``fn``,
-    which maps points (..., dim) to real or complex values (...)."""
-    plus, minus = _stencil(pts, axis, h)
-    return (fn(plus) - fn(minus)) / (2.0 * h)
-
-
 @dataclass(frozen=True)
 class AxisDerivativeField(FieldSpec):
-    """The scalar field x -> d(base)/dx_axis.
-
-    With ``fd_step`` set, the derivative is a central difference of the base
-    values; otherwise the base must provide an analytic gradient.  Used to
-    carry gradient terms of gauge transforms as evaluable fields.
+    """The scalar field x -> d(base)/dx_axis, taken by ``field`` as it takes
+    every derivative (``ScalingField.partial_of``).  Used to carry gradient
+    terms of gauge transforms as evaluable fields.
     """
 
     base: FieldSpec
     axis: int
-    fd_step: Optional[float] = None
+    field: ScalingField
     has_analytic_gradient = False
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        if self.fd_step is None:
-            return self.base.gradient(pts)[..., self.axis]
-        return central_difference(partial(evaluate, self.base), pts,
-                                  self.axis, self.fd_step)
+        return self.field.partial_of(self.base, self.axis, pts)
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ScenarioValidationError(
@@ -407,13 +397,12 @@ class ScalingField:
     def __post_init__(self) -> None:
         if self.gradient_mode not in ("analytic", "central"):
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
-        if self.gradient_mode == "analytic":
-            for name, spec in (("theta", self.theta), ("phi", self.phi)):
-                if not spec.has_analytic_gradient:
-                    raise ScenarioValidationError(
-                        f"{name} has no analytic gradient; "
-                        "use central-difference mode"
-                    )
+        for name, spec in (("theta", self.theta), ("phi", self.phi)):
+            if not self.differentiates(spec):
+                raise ScenarioValidationError(
+                    f"{name} has no analytic gradient; "
+                    "use central-difference mode"
+                )
         if self.gradient_step is None:
             object.__setattr__(self, "gradient_step", min(self.manifold.spacing))
         elif not self.gradient_step > 0:
@@ -433,26 +422,45 @@ class ScalingField:
         pts = self.manifold.require_inside(x)
         return np.asarray(self.phi.value(pts))
 
-    def require_stencil(self, pts: np.ndarray) -> None:
-        """Refuse points where a central difference would leave the grid."""
+    def differentiates(self, spec: FieldSpec) -> bool:
+        """Whether ``gradient_of`` can take spec's gradient: by central
+        differences always, analytically only if spec has one."""
+        return self.gradient_mode == "central" or spec.has_analytic_gradient
+
+    def differences(self, fn: Callable[[np.ndarray], np.ndarray],
+                    pts: np.ndarray, axes) -> np.ndarray:
+        """Second-order central differences with step ``gradient_step`` of
+        ``fn``, which maps points (..., dim) to real or complex values (...),
+        along each of ``axes``: shape (..., len(axes)).  Every point needs
+        the step as margin on every axis."""
         h = self.gradient_step
-        if (self.gradient_mode == "central"
-                and not self.manifold.margin_inside(pts, h).all()):
+        if not self.manifold.margin_inside(pts, h).all():
             raise BoundaryPoint(
                 f"central differences need {h} of margin on every axis"
             )
+        out = None
+        for i, axis in enumerate(axes):
+            plus, minus = _stencil(pts, axis, h)
+            d = (fn(plus) - fn(minus)) / (2.0 * h)
+            if out is None:
+                out = np.empty(np.shape(d) + (len(axes),), np.result_type(d))
+            out[..., i] = d
+        return out
 
     def gradient_of(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
         """Gradient of spec at in-grid points, analytic or central by mode."""
         if self.gradient_mode == "analytic":
             return spec.gradient(pts)
-        self.require_stencil(pts)
-        h = self.gradient_step
-        values = partial(evaluate, spec)
-        out = np.empty(pts.shape)
-        for axis in range(self.manifold.dimension):
-            out[..., axis] = central_difference(values, pts, axis, h)
-        return out
+        return self.differences(partial(evaluate, spec), pts,
+                                range(self.manifold.dimension))
+
+    def partial_of(self, spec: FieldSpec, axis: int,
+                   pts: np.ndarray) -> np.ndarray:
+        """d spec/dx_axis at in-grid points, analytic or central by mode;
+        the other axes are not differenced."""
+        if self.gradient_mode == "analytic":
+            return spec.gradient(pts)[..., axis]
+        return self.differences(partial(evaluate, spec), pts, (axis,))[..., 0]
 
     def gamma_delta(self, x) -> Tuple[np.ndarray, np.ndarray]:
         pts = self.manifold.require_inside(x)

@@ -4,32 +4,33 @@ The derivative that acts on a matter field psi, a function of points, is
 
     D_mu psi = d_mu psi + (g_r Gamma_mu + i g_i Delta_mu + i h_i B_mu) psi,
 
-with d_mu psi the same central difference that differences theta and phi.
+with d_mu psi the field's central difference (``ScalingField.differences``)
+that also differences theta and phi; every derivative here is the field's.
 
 A transform is an explicit split beta = alpha + gamma of a phase function;
-applying it shifts the photon components by -(1/h_i) d_mu alpha and the
-imaginary connection by -(1/g_i) d_mu gamma while Gamma stays put, so the
-bracket above is invariant.  ``invariance_residual`` measures how far a
-transformed configuration drifts from that identity.  It evaluates each
-field once per stencil point: the transformed pair embeds phi, theta and
-the photon again, and d beta differences alpha and gamma again, so the
-call's terms share their values (``fields.shared_evaluation``).
+applying it shifts the photon components by -(1/h_i) d_mu alpha, the
+field's partial of alpha, and the imaginary connection by -(1/g_i) d_mu
+gamma while Gamma stays put, so the bracket above is invariant.
+``invariance_residual`` measures how far a transformed configuration
+drifts from that identity.  It evaluates each field once per stencil
+point: the transformed pair embeds phi, theta and the photon again, and
+d beta differences alpha and gamma again, so the call's terms share their
+values (``fields.shared_evaluation``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import BoundaryPoint, ZeroCoupling
+from .errors import ZeroCoupling
 from .fields import (
     AxisDerivativeField,
     CombinationField,
     FieldSpec,
     ScalingField,
-    central_difference,
     evaluate,
     shared_evaluation,
 )
@@ -84,19 +85,14 @@ def gauge_covariant_derivative(psi: Callable[[np.ndarray], np.ndarray],
                                x) -> np.ndarray:
     """D_mu psi for every mu at points x (..., dim), shape (..., dim).
 
-    psi maps points to complex values; d_mu psi is its central difference
-    with the field's ``gradient_step``, which every point needs as margin.
+    psi maps points to complex values; d_mu psi is the field's central
+    difference, whose ``gradient_step`` every point needs as margin.
     g_r = g_i = 1 with a zero photon gives the derivative without a gauge
     field, d_mu psi + (Gamma_mu + i Delta_mu) psi.
     """
     _check_dim(cfg, fieldref)
-    m = fieldref.manifold
-    pts = m.require_inside(x)
-    h = fieldref.gradient_step
-    if not m.margin_inside(pts, h).all():
-        raise BoundaryPoint(f"d psi needs {h} of margin on every axis")
-    dpsi = np.stack([central_difference(psi, pts, mu, h)
-                     for mu in range(m.dimension)], axis=-1)
+    pts = fieldref.manifold.require_inside(x)
+    dpsi = fieldref.differences(psi, pts, range(fieldref.manifold.dimension))
     return dpsi + gauge_connection(fieldref, cfg, pts) * psi(pts)[..., None]
 
 
@@ -107,9 +103,6 @@ def apply_transform(fieldref: ScalingField, cfg: GaugeConfig,
     phi -> phi - gamma/g_i (so Delta -> Delta - (1/g_i) d gamma), Gamma fixed.
     """
     _check_dim(cfg, fieldref)
-    fd_step = None if fieldref.gradient_mode == "analytic" \
-        else fieldref.gradient_step
-
     if transform.gamma.is_constant:
         new_phi = fieldref.phi
     else:
@@ -126,18 +119,14 @@ def apply_transform(fieldref: ScalingField, cfg: GaugeConfig,
         new_photon = tuple(
             CombinationField((
                 (1.0, b),
-                (-1.0 / cfg.h_i, AxisDerivativeField(transform.alpha, mu, fd_step)),
+                (-1.0 / cfg.h_i,
+                 AxisDerivativeField(transform.alpha, mu, fieldref)),
             ))
             for mu, b in enumerate(cfg.photon)
         )
 
-    new_field = ScalingField(
-        fieldref.manifold, fieldref.theta, new_phi,
-        gradient_mode=fieldref.gradient_mode,
-        gradient_step=fieldref.gradient_step,
-    )
     new_cfg = GaugeConfig(cfg.g_r, cfg.g_i, cfg.h_i, new_photon)
-    return new_field, new_cfg
+    return replace(fieldref, phi=new_phi), new_cfg
 
 
 def invariance_residual(fieldref: ScalingField, cfg: GaugeConfig,

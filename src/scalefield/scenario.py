@@ -382,8 +382,9 @@ def _transform(p: Dict[str, Any], rt: "RuntimeScenario") -> GaugeTransform:
                          "alpha/gamma transform split")
     apply_transform(rt.field, rt.gauge_config, rt.gauge_transform)
     # the interior is built when the task runs; each of its nodes lies
-    # between its two corners, so they stand for all in the stencil check
-    rt.field.require_stencil(rt.manifold.interior_corners())
+    # between its two corners, so a gradient there refuses now any step
+    # without margin that the run's gradients would refuse
+    rt.field.gradient_of(rt.field.theta, rt.manifold.interior_corners())
     return rt.gauge_transform
 
 
@@ -582,13 +583,12 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
             gauge_transform = GaugeTransform(
                 _build_spec(g["alpha"], manifold, "scenario.gauge.alpha"),
                 _build_spec(g["gamma"], manifold, "scenario.gauge.gamma"))
-            if fieldref.gradient_mode == "analytic":
-                for name, spec in (("alpha", gauge_transform.alpha),
-                                   ("gamma", gauge_transform.gamma)):
-                    if not spec.has_analytic_gradient:
-                        raise ScenarioValidationError(
-                            f"scenario.gauge.{name}: no analytic gradient; "
-                            "use central-difference mode")
+            for name, spec in (("alpha", gauge_transform.alpha),
+                               ("gamma", gauge_transform.gamma)):
+                if not fieldref.differentiates(spec):
+                    raise ScenarioValidationError(
+                        f"scenario.gauge.{name}: no analytic gradient; "
+                        "use central-difference mode")
 
     needs_seed = [i for i, t in enumerate(scenario.tasks)
                   if TASKS[t.type].randomized]

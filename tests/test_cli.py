@@ -356,6 +356,18 @@ def test_each_compare_task_computes_one_report(tmp_path, monkeypatch):
                                                          rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [
+    {"family": "gaussian", "amplitude": 0.4, "center": [0.0, 0.3, 0.0, 0.0],
+     "width": 1.1, "axes": []},
+    {"family": "constant", "constant": 0.4},
+], ids=["gaussian-over-no-axes", "constant"])
+def test_constant_alpha_validates_without_h_i(tmp_path, alpha):
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc["gauge"]["h_i"] = 0
+    doc["gauge"]["alpha"] = alpha
+    assert main(["validate", write(tmp_path, doc)]) == 0
+
+
 def test_far_packet_with_a_representable_norm_runs(tmp_path):
     # |amplitude|^2 peaks near 1e-141 at the node [1, 0, 0]
     path = write(tmp_path, packet_on_a_small_grid(center=[10.0, 0.0, 0.0],

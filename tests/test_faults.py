@@ -77,12 +77,19 @@ def _mul_with_real_sign_flipped(self, other):
     return exact._make(a1 * a2 + b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
 
-def _central_difference_over_h(fn, pts, axis, h):
-    """fields.central_difference with step h where 2h belongs; in gauge it
-    differences psi, in fields theta and phi."""
-    offset = np.zeros(pts.shape[-1])
-    offset[axis] = h
-    return (fn(pts + offset) - fn(pts - offset)) / h
+_differences = fields.ScalingField.differences
+
+
+def _differences_over_h(self, fn, pts, axes):
+    """ScalingField.differences with step h where 2h belongs; it differences
+    theta, phi, a transform's alpha and psi alike."""
+    return 2.0 * _differences(self, fn, pts, axes)
+
+
+def _axis_derivative_along_the_next_axis(self, pts):
+    """AxisDerivativeField.value differentiating along (axis + 1) % dim."""
+    return self.field.partial_of(self.base, (self.axis + 1) % pts.shape[-1],
+                                 pts)
 
 
 def _render_block_keyed_by_value(block):
@@ -221,6 +228,8 @@ CRITERION_09 = test_acceptance.test_criterion_09_central_differences_converge_at
 CRITERION_10 = test_acceptance.test_criterion_10_geodesic_beats_100_perturbed_rivals
 PINS = tuple(partial(test_geodesic_pins.test_geodesic_bits_are_pinned, name)
              for name in sorted(test_geodesic_pins.PINS))
+CENTRAL_PIN = partial(test_geodesic_pins.test_geodesic_bits_are_pinned,
+                      "trajectories-family-central")
 REPELS = test_geodesics.test_euclidean_drag_repels_on_identity_metric
 KEEPS_SPEED = test_geodesics.test_minkowski_spatial_motion_attracts_and_keeps_speed
 # the operator check's body on one pair with nonzero imaginary parts, since
@@ -231,9 +240,8 @@ EXACT_MUL, EXACT_DIV = (
             (exact.ComplexFraction(2, 3), (Fraction(2), Fraction(3))),
             (exact.ComplexFraction(-1, 5), (Fraction(-1), Fraction(5))), False)
     for op, ref in test_exact.BINARY[2:])
-COVARIANT = tuple(
-    partial(test_gauge.test_covariant_derivative_is_gauge_covariant, mode)
-    for mode in ("analytic", "central"))
+COVARIANT = partial(test_gauge.test_covariant_derivative_is_gauge_covariant,
+                    "analytic")
 REPEATS = tuple(
     partial(test_csvio.test_float_array_with_repeats_renders_the_bytes_of_its_rows,
             name)
@@ -244,6 +252,9 @@ TABULATED = (test_fields.test_tabulated_field_matches_sampled_function,
              _tabulated_run)
 SHARED = (test_gauge.test_residual_evaluates_each_field_once_per_stencil_point,
           test_gauge.test_shared_residual_equals_the_residual_of_its_unshared_terms)
+PARTIALS = tuple(
+    partial(test_fields.test_axis_derivative_field_is_its_fields_partial, mode)
+    for mode in ("analytic", "central"))
 RESIDUALS = (CRITERION_08, test_gauge.test_invariance_residual_is_machine_small,
              test_gauge.test_residual_in_central_difference_mode, _demo_digests)
 
@@ -278,11 +289,15 @@ FAULTS = {
     "complex product with its real-part sign flipped": (
         exact.ComplexFraction, "__mul__", _mul_with_real_sign_flipped,
         (EXACT_MUL, EXACT_DIV, _complex_digests)),
-    "central difference of psi over h where 2h belongs": (
-        gauge, "central_difference", _central_difference_over_h,
-        (*COVARIANT,
+    # in central mode doubling every derivative alike, psi's and the
+    # connection's, keeps D psi covariant, so only analytic mode sees it there
+    "central difference over h where 2h belongs": (
+        fields.ScalingField, "differences", _differences_over_h,
+        (COVARIANT,
          test_gauge.test_gauge_derivative_reduces_to_plain_derivative,
-         test_fields.test_covariant_derivative_kills_inverse_field_samples)),
+         test_fields.test_covariant_derivative_kills_inverse_field_samples,
+         CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,
+         test_fields.test_central_gradient_is_second_order, CENTRAL_PIN)),
     "CSV cells keyed by float value, -0 folded into 0": (
         csvio, "_render_block", _render_block_keyed_by_value,
         (*REPEATS,
@@ -300,10 +315,10 @@ FAULTS = {
         fields, "evaluate", _evaluate_keyed_by_spec, SHARED),
     "evaluation share giving the +h array for both shifts": (
         fields, "_stencil", _stencil_with_plus_for_both, SHARED),
-    "central difference of theta and phi over h where 2h belongs": (
-        fields, "central_difference", _central_difference_over_h,
-        (CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,
-         test_fields.test_central_gradient_is_second_order)),
+    "photon shift differencing alpha along the next axis": (
+        fields.AxisDerivativeField, "value",
+        _axis_derivative_along_the_next_axis,
+        (*RESIDUALS, *PARTIALS)),
     "combination weights read as 1.0": (
         scenario, "_build_spec", _build_spec_with_unit_weights,
         (test_scenario.test_combination_terms_parse_recursively,)),

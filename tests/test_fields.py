@@ -12,6 +12,7 @@ from scalefield.errors import (
     ZeroLevel,
 )
 from scalefield.fields import (
+    AxisDerivativeField,
     CombinationField,
     ConstantField,
     GaussianField,
@@ -91,6 +92,23 @@ def test_central_gradient_needs_margin():
                      gradient_mode="central", gradient_step=0.5)
     with pytest.raises(BoundaryPoint):
         gradients(f, np.array([1.8, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("mode", ["analytic", "central"])
+def test_axis_derivative_field_is_its_fields_partial(mode):
+    m = cube(-1.0, 1.0, 9, dim=4)
+    if mode == "analytic":
+        alpha = GaussianField(0.6, (0.2, -0.1, 0.3, 0.0), 0.9)
+    else:
+        wave = m.grid_points() @ np.array([0.7, -0.4, 0.9, 0.3])
+        alpha = TabulatedField(m, np.sin(wave) * np.exp(-0.2 * wave * wave))
+    f = ScalingField(m, LinearField((0.1, 0.2, -0.3, 0.4)),
+                     gradient_mode=mode)
+    pts = m.interior_grid_points()
+    grad = f.gradient_of(alpha, pts)
+    for mu in range(m.dimension):
+        got = AxisDerivativeField(alpha, mu, f).value(pts)
+        assert _same_bits(got, grad[..., mu]), mu
 
 
 def test_radial_polynomial_gradient_matches_finite_difference():

@@ -254,6 +254,17 @@ def test_constant_split_needs_no_couplings():
     assert new_cfg.photon == cfg.photon
 
 
+def test_a_gaussian_over_no_axes_is_a_constant_split():
+    m = spacetime()
+    f = make_field(m)
+    cfg = GaugeConfig(1.0, 0.0, 0.0, constant_photon((0.0,) * 4))
+    bump = GaussianField(0.8, (0.0, 0.1, -0.2, 0.3), 0.7, axes=())
+    assert bump.is_constant
+    new_field, new_cfg = apply_transform(f, cfg, GaugeTransform(bump, bump))
+    assert new_field.phi is f.phi
+    assert new_cfg.photon == cfg.photon
+
+
 def test_residual_in_central_difference_mode():
     m = spacetime(nodes=17, half=1.0)
     f = ScalingField(m, LinearField((0.2, -0.3, 0.1, 0.4)),

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts the README points to."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 from test_golden import GOLDEN
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+from output_digests import DEMO, load_workloads  # noqa: E402
 
 
 def run_script(name, *args):
@@ -56,3 +59,20 @@ def test_output_digests_of_the_demo_are_the_golden_ones():
         "demo", "algebra", "trajectories", "grids"}
     assert {name[len("demo/"):]: digest for name, digest in digests.items()
             if name.startswith("demo/")} == GOLDEN
+
+
+def test_task_peaks_prints_one_positive_peak_per_task(tmp_path):
+    run = run_script("task_peaks.py", "--seed", "3")
+    assert run.returncode == 0, run.stderr
+    workloads = load_workloads()
+    scenarios = {"demo": DEMO}
+    for name in workloads.WORKLOADS:
+        scenarios[name] = tmp_path / f"{name}.json"
+        workloads.write(name, 3, str(scenarios[name]))
+    want = [f"{name}/{i:02d}_{task['type']}"
+            for name, path in scenarios.items()
+            for i, task in enumerate(
+                json.loads(Path(path).read_text(encoding="utf-8"))["tasks"])]
+    lines = [line.split(" ") for line in run.stdout.splitlines()]
+    assert [label for label, _ in lines] == want
+    assert all(float(peak) > 0 for _, peak in lines)
