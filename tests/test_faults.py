@@ -80,10 +80,15 @@ def _mul_with_real_sign_flipped(self, other):
 _differences = fields.ScalingField.differences
 
 
-def _differences_over_h(self, fn, pts, axes):
-    """ScalingField.differences with step h where 2h belongs; it differences
-    theta, phi, a transform's alpha and psi alike."""
-    return 2.0 * _differences(self, fn, pts, axes)
+def _differences_over_h_for(specs: bool):
+    """ScalingField.differences with step h where 2h belongs, for the specs
+    it differences (theta, phi, a transform's alpha) if specs, else for the
+    other functions of points it differences (psi)."""
+    def differences(self, fn, pts, axes):
+        d = _differences(self, fn, pts, axes)
+        of_spec = isinstance(fn, partial) and fn.func is fields.evaluate
+        return 2.0 * d if of_spec == specs else d
+    return differences
 
 
 def _axis_derivative_along_the_next_axis(self, pts):
@@ -240,8 +245,9 @@ EXACT_MUL, EXACT_DIV = (
             (exact.ComplexFraction(2, 3), (Fraction(2), Fraction(3))),
             (exact.ComplexFraction(-1, 5), (Fraction(-1), Fraction(5))), False)
     for op, ref in test_exact.BINARY[2:])
-COVARIANT = partial(test_gauge.test_covariant_derivative_is_gauge_covariant,
-                    "analytic")
+COVARIANT = tuple(
+    partial(test_gauge.test_covariant_derivative_is_gauge_covariant, mode)
+    for mode in ("analytic", "central"))
 REPEATS = tuple(
     partial(test_csvio.test_float_array_with_repeats_renders_the_bytes_of_its_rows,
             name)
@@ -289,15 +295,11 @@ FAULTS = {
     "complex product with its real-part sign flipped": (
         exact.ComplexFraction, "__mul__", _mul_with_real_sign_flipped,
         (EXACT_MUL, EXACT_DIV, _complex_digests)),
-    # in central mode doubling every derivative alike, psi's and the
-    # connection's, keeps D psi covariant, so only analytic mode sees it there
-    "central difference over h where 2h belongs": (
-        fields.ScalingField, "differences", _differences_over_h,
-        (COVARIANT,
+    "central difference of psi over h where 2h belongs": (
+        fields.ScalingField, "differences", _differences_over_h_for(False),
+        (*COVARIANT,
          test_gauge.test_gauge_derivative_reduces_to_plain_derivative,
-         test_fields.test_covariant_derivative_kills_inverse_field_samples,
-         CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,
-         test_fields.test_central_gradient_is_second_order, CENTRAL_PIN)),
+         test_fields.test_covariant_derivative_kills_inverse_field_samples)),
     "CSV cells keyed by float value, -0 folded into 0": (
         csvio, "_render_block", _render_block_keyed_by_value,
         (*REPEATS,
@@ -315,6 +317,10 @@ FAULTS = {
         fields, "evaluate", _evaluate_keyed_by_spec, SHARED),
     "evaluation share giving the +h array for both shifts": (
         fields, "_stencil", _stencil_with_plus_for_both, SHARED),
+    "central difference of theta and phi over h where 2h belongs": (
+        fields.ScalingField, "differences", _differences_over_h_for(True),
+        (CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,
+         test_fields.test_central_gradient_is_second_order, CENTRAL_PIN)),
     "photon shift differencing alpha along the next axis": (
         fields.AxisDerivativeField, "value",
         _axis_derivative_along_the_next_axis,
