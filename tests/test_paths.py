@@ -144,18 +144,46 @@ def test_both_lengths_come_from_one_walk(name, monkeypatch):
     separate = (local_path_length(q, BOX4, steps),
                 scaled_path_length(q, f, x_ref, steps))
     velocity = type(q).piece_velocity
-    calls = []
+    nodes = {}
 
     def counted(self, s, a, b):
         if self is q:
-            calls.append(len(s))
+            nodes[a, b] = nodes.get((a, b), 0) + len(s)
         return velocity(self, s, a, b)
 
     monkeypatch.setattr(type(q), "piece_velocity", counted)
     assert path_lengths(q, f, x_ref, steps) == separate
-    blocks = sum(-(-(n + 1) // _BLOCK_NODES)
-                 for _, _, n in simpson_pieces(q, steps))
-    assert len(calls) == blocks
+    # every node's tangent is computed once: the calls of a piece, however
+    # the walk slices it, take its n + 1 nodes
+    assert nodes == {(a, b): n + 1 for a, b, n in simpson_pieces(q, steps)}
+
+
+# path_lengths over more than three 2**16-node blocks, as float.hex: the
+# block sums, their order and each node's integrand are all pinned
+MULTI_BLOCK_STEPS = 3 * _BLOCK_NODES + 6000
+MULTI_BLOCK_PINS = {
+    "segment-4d-gaussian": (
+        SegmentPath(np.array([-1.5, -0.7, -1.2, -0.4]),
+                    np.array([1.1, 1.6, 0.3, 1.4])),
+        flat_field(BOX4, theta=GaussianField(0.4, (0.1, -0.2, 0.0, 0.3), 1.1)),
+        np.array([0.2, 0.1, -0.3, 0.0]),
+        ("0x1.00a3a2bdeacc2p+1", "0x1.b0bdf9b0a8aeep+0")),
+    "spline-3d-linear": (
+        SplinePath(_RNG.uniform(-1.0, 1.0, (9, 3)),
+                   _RNG.uniform(-1.0, 1.0, (9, 3))),
+        flat_field(BOX3, theta=LinearField((0.3, -0.2, 0.45), 0.1)),
+        np.array([0.5, -0.25, 0.0]),
+        ("0x1.6e631cda848afp+3", "0x1.0a0b57a47c3d7p+3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK_PINS))
+def test_multi_block_path_lengths_are_pinned(name):
+    q, f, x_ref, pinned = MULTI_BLOCK_PINS[name]
+    assert max(n for *_, n in simpson_pieces(q, MULTI_BLOCK_STEPS)) + 1 \
+        > 3 * _BLOCK_NODES
+    got = path_lengths(q, f, x_ref, MULTI_BLOCK_STEPS)
+    assert tuple(x.hex() for x in got) == pinned
 
 
 def test_polyline_elbow_is_exact():
