@@ -14,11 +14,13 @@ integers beyond 2**53, where ``str`` keeps every digit.
 
 Grid tables repeat their coordinates and often their results, so the cells
 of a block are keyed by their 64-bit pattern, which keeps -0 apart from 0,
-and each distinct value is formatted once; the block's text gathers those
-strings.  A block whose cells are all or mostly distinct keeps the single
-%.17g pass, which is faster there.  On the benchmark workloads (seed 11),
-96.2% of the array cells of ``grids`` repeat a value of their block,
-``trajectories`` has none, and ``algebra`` writes no array table.
+and each distinct value is formatted once.  The block's text joins those
+strings, by commas into lines and the lines by newlines: the bytes of one
+%s per cell, at under half its cost.  A block whose cells are all or mostly
+distinct keeps the single %.17g pass, which is faster there.  On the
+benchmark workloads (seed 11), 96.2% of the array cells of ``grids`` repeat
+a value of their block, ``trajectories`` has none, and ``algebra`` writes
+no array table.
 
 Each row or block goes straight to the open file it is rendered for, so no
 table is ever held as text; without a file the same text comes back as a
@@ -61,22 +63,20 @@ def format_cell(value) -> str:
 
 def _render_block(block: np.ndarray) -> str:
     """Lines of a 2-D float64 block, each distinct value formatted once."""
-    width = block.shape[1]
     # keyed by bit pattern, so -0 stays apart from 0
     bits = block.view(np.uint64)
     # counted on a sorted copy, freed at once: a quarter of the time of
     # np.unique's inverse, which a block of distinct cells does not need
     distinct = 1 + np.count_nonzero(np.diff(np.sort(bits, axis=None)))
     if distinct > _MAX_DISTINCT_SHARE * block.size:
-        line = ",".join(["%.17g"] * width) + "\n"
+        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
         return line * len(block) % tuple(block.ravel().tolist())
     keys, inverse = np.unique(bits, return_inverse=True)
     texts = ("%.17g\n" * len(keys)
              % tuple(keys.view(np.float64).tolist())).split("\n")[:-1]
     # the inverse's shape varies across numpy versions
-    cells = np.array(texts, dtype=object)[inverse.ravel()]
-    line = ",".join(["%s"] * width) + "\n"
-    return line * len(block) % tuple(cells.tolist())
+    cells = np.array(texts, dtype=object)[inverse.reshape(block.shape)]
+    return "\n".join(map(",".join, cells.tolist())) + "\n"
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence],

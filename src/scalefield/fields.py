@@ -11,8 +11,9 @@ and the one-axis ``partial_of`` are analytic or central by its mode, and
 every finite difference, of theta, phi, a transform's alpha or a matter
 field psi, is its ``differences`` of a function of points.
 Inside a ``shared_evaluation`` block, which the gauge residual opens for
-each call, every spec is evaluated once per point array and every central
-difference takes the same shifted arrays for one (points, axis, step).
+each call, every spec is evaluated, and analytically differentiated, once
+per point array, and every central difference takes the same shifted
+arrays for one (points, axis, step).
 The connection-modified derivative lives in ``gauge``: without a gauge field
 it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
@@ -31,6 +32,21 @@ import numpy as np
 
 from .errors import BoundaryPoint, ScenarioValidationError
 from .manifold import Manifold
+
+
+def coordinate_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` bit for bit when the last axis, the coordinates,
+    has fewer than 8 entries: numpy adds those left to right from +0.0, and
+    so does this for an array of points, a column at a time, which beats
+    one short reduction per row.  A single point keeps numpy's own sum:
+    scalar adds may pick another of two NaNs' payloads."""
+    if x.ndim == 1:
+        return x.sum()
+    cols = x.T
+    out = 0.0 + cols[0]
+    for k in range(1, len(cols)):
+        out += cols[k]
+    return out.T
 
 
 class FieldSpec:
@@ -108,7 +124,7 @@ class GaussianField(FieldSpec):
         if not self.width > 0:
             raise ValueError("width must be positive")
         if self.axes is None:
-            mask = np.ones(len(center))
+            mask = None  # every axis counts, and x * 1.0 is x
         else:
             object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
             mask = np.zeros(len(center))
@@ -118,10 +134,11 @@ class GaussianField(FieldSpec):
         object.__setattr__(self, "_w2", self.width ** 2)
 
     def _offset(self, pts: np.ndarray) -> np.ndarray:
-        return (pts - self._center) * self._mask
+        d = pts - self._center
+        return d if self._mask is None else d * self._mask
 
     def _bump(self, d: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-(d * d).sum(axis=-1) / (2.0 * self._w2))
+        return self.amplitude * np.exp(-coordinate_sum(d * d) / (2.0 * self._w2))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self._bump(self._offset(pts))
@@ -183,6 +200,15 @@ class TabulatedField(FieldSpec):
     ``itertools.product`` order, axis 0 outermost, each weighted by the
     product of its per-axis weights (``1 - y`` below, ``y`` above) taken in
     axis order; and a point with a NaN coordinate gives NaN.
+
+    Corners whose weight is exactly zero are skipped.  Such a corner adds
+    +-0 to a sum that starts at +0.0, which changes no bit, as long as its
+    value and its other weights are finite.  So when every table value is
+    finite and every point lies in the table's box (every y in [0, 1]), an
+    axis whose y is 0 at every point keeps its lower node alone, with
+    weight exactly 1.0, and one whose y is 1 at every point its upper node.
+    Central-difference stencils of grid nodes sit on a node on every axis
+    but one, so they gather 2 corners of the 2**dim.
     """
 
     manifold: Manifold
@@ -204,46 +230,65 @@ class TabulatedField(FieldSpec):
         if np.any(np.isnan(vals)):
             raise ScenarioValidationError("tabulated values contain NaN")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_finite", bool(np.isfinite(vals).all()))
         # corners are gathered by flat index into a C-ordered copy, so the
         # strides come from the shape and not from the caller's layout
         shape = vals.shape
         strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
         object.__setattr__(self, "_flat", np.ascontiguousarray(vals).ravel())
+        # per axis: nodes, cell widths nodes[i + 1] - nodes[i], stride
+        nodes = [self.manifold.axis_nodes(a) for a in range(len(shape))]
         object.__setattr__(self, "_axes", tuple(
-            (self.manifold.axis_nodes(a), stride)
-            for a, stride in enumerate(strides)))
+            (x, np.diff(x), stride) for x, stride in zip(nodes, strides)))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1:] != (len(self._axes),):
             raise ValueError(f"points must have {len(self._axes)} "
                              f"components, got shape {pts.shape}")
-        xi = pts.reshape(-1, len(self._axes))
-        n, dim = xi.shape
+        dim = len(self._axes)
+        cols = pts.reshape(-1, dim).T.copy()  # each axis one contiguous row
+        n = cols.shape[1]
         base = 0
         nan = np.zeros(n, dtype=bool)
-        sides = []  # per axis: (flat offset, weight) of the lower and upper node
-        for a, (nodes, stride) in enumerate(self._axes):
-            x = xi[:, a]
-            i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                        0, len(nodes) - 2)
-            y = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+        ys = []
+        for (nodes, widths, stride), x in zip(self._axes, cols):
+            i = np.searchsorted(nodes, x, side="right")
+            i -= 1
+            np.clip(i, 0, len(nodes) - 2, out=i)
+            ys.append((x - nodes[i]) / widths[i])
             base = base + i * stride
             nan |= np.isnan(x)
-            sides.append(((0, 1 - y), (stride, y)))
-        # A corner's weight is the product of its axis weights in axis
-        # order; corners come in product order, so prefix[a], the product
-        # over axes 0..a, is recomputed only from the first axis whose side
-        # changed.  1.0 * w0 is w0 bit for bit, so no leading 1.0 is needed.
-        prefix = [None] + [np.empty(n) for _ in range(1, dim)]
+        # per axis: the lone node kept (0 lower, 1 upper), or None for both
+        lone = [None] * dim
+        if self._finite:
+            lone = [0 if not y.any() else 1 if (y == 1.0).all() else None
+                    for y in ys]
+            if not all(node is not None or (0.0 <= y.min() and y.max() <= 1.0)
+                       for node, y in zip(lone, ys)):
+                lone = [None] * dim
+        # (flat offset, weight) of the lower and upper node of each axis
+        # that keeps both; a lone node's weight is exactly 1.0 and is left out
+        sides = []
+        for (_, _, stride), y, node in zip(self._axes, ys, lone):
+            if node is None:
+                sides.append(((0, 1 - y), (stride, y)))
+            elif node == 1:
+                base = base + stride
+        k = len(sides)
+        # A corner's weight is the product of the weights of these k axes
+        # in axis order; corners come in product order, so prefix[a], the
+        # product over the first a + 1 of them, is recomputed only from the
+        # first axis whose side changed.  1.0 * w0 is w0 bit for bit, so no leading 1.0 is needed.
+        prefix = [None] + [np.empty(n) for _ in range(1, k)]
         index = np.empty(n, dtype=np.intp)
         term = np.empty(n)
         out = np.zeros(n)
         last = None
-        for corner in itertools.product((0, 1), repeat=dim):
+        for corner in itertools.product((0, 1), repeat=k):
             first = 0 if last is None else next(
-                a for a in range(dim) if corner[a] != last[a])
-            for a in range(first, dim):
+                a for a in range(k) if corner[a] != last[a])
+            for a in range(first, k):
                 w = sides[a][corner[a]][1]
                 prefix[a] = w if a == 0 else np.multiply(prefix[a - 1], w,
                                                          out=prefix[a])
@@ -253,7 +298,8 @@ class TabulatedField(FieldSpec):
             # never acts; it only lets take write into term unbuffered
             np.take(self._flat, np.add(base, offset, out=index), out=term,
                     mode="clip")
-            np.multiply(term, prefix[-1], out=term)
+            if k:
+                np.multiply(term, prefix[-1], out=term)
             np.add(out, term, out=out)
         out[nan] = np.nan
         return out.reshape(pts.shape[:-1])
@@ -287,7 +333,7 @@ class CombinationField(FieldSpec):
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape)
         for c, s in self.terms:
-            out = out + c * s.gradient(pts)
+            out = out + c * analytic_gradient(s, pts)
         return out
 
     @property
@@ -296,15 +342,18 @@ class CombinationField(FieldSpec):
 
 
 class _Share:
-    """Shifted stencil arrays and spec values of one block, keyed by the
-    identity of their arrays and specs.  Each entry holds the objects its
-    key names, so no id is reused while the block lasts."""
+    """Shifted stencil arrays, spec values and analytic spec gradients of
+    one block, keyed by the identity of their arrays and specs.  Each entry
+    holds the objects its key names, so no id is reused while the block
+    lasts."""
 
     def __init__(self) -> None:
         # (id(pts), axis, h) -> (pts, pts + h e_axis, pts - h e_axis)
         self.stencils: Dict[tuple, tuple] = {}
         # (id(spec), id(pts)) -> (spec, pts, spec.value(pts))
         self.values: Dict[tuple, tuple] = {}
+        # (id(spec), id(pts)) -> (spec, pts, spec.gradient(pts))
+        self.gradients: Dict[tuple, tuple] = {}
 
 
 _SHARE: ContextVar[Optional[_Share]] = ContextVar("scalefield_share",
@@ -325,17 +374,32 @@ def shared_evaluation() -> Iterator[None]:
         _SHARE.reset(token)
 
 
+def _once(table: str, compute: Callable[[np.ndarray], np.ndarray],
+          spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
+    """compute(pts), once per (spec, pts) in the share's ``table``."""
+    share = _SHARE.get()
+    if share is None:
+        return compute(pts)
+    entries = getattr(share, table)
+    key = (id(spec), id(pts))
+    entry = entries.get(key)
+    if entry is None:
+        entry = entries[key] = (spec, pts, compute(pts))
+    return entry[2]
+
+
 def evaluate(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
     """spec.value(pts), computed once per (spec, pts) inside a share.  The
     result is shared, so callers must not write into it."""
-    share = _SHARE.get()
-    if share is None:
-        return spec.value(pts)
-    key = (id(spec), id(pts))
-    entry = share.values.get(key)
-    if entry is None:
-        entry = share.values[key] = (spec, pts, spec.value(pts))
-    return entry[2]
+    return _once("values", spec.value, spec, pts)
+
+
+def analytic_gradient(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
+    """spec.gradient(pts), computed once per (spec, pts) inside a share, as
+    ``evaluate`` computes values: the photon shift's dim partials of alpha
+    and d beta then take one gradient of alpha.  Callers must not write
+    into it."""
+    return _once("gradients", spec.gradient, spec, pts)
 
 
 def _stencil(pts: np.ndarray, axis: int, h: float
@@ -346,9 +410,13 @@ def _stencil(pts: np.ndarray, axis: int, h: float
     key = (id(pts), axis, h)
     if share is not None and key in share.stencils:
         return share.stencils[key][1:]
-    offset = np.zeros(pts.shape[-1])
-    offset[axis] = h
-    plus, minus = pts + offset, pts - offset
+    # pts + h e_axis and pts - h e_axis bit for bit, without broadcasting a
+    # row over the points: x + 0.0 turns -0 into +0 as x + 0 does, and
+    # x - 0.0 is x
+    plus = pts + 0.0
+    plus[..., axis] += h
+    minus = pts.copy()
+    minus[..., axis] -= h
     if share is not None:
         share.stencils[key] = (pts, plus, minus)
     return plus, minus
@@ -434,7 +502,7 @@ class ScalingField:
         along each of ``axes``: shape (..., len(axes)).  Every point needs
         the step as margin on every axis."""
         h = self.gradient_step
-        if not self.manifold.margin_inside(pts, h).all():
+        if not self.manifold.margin_inside(pts, h):
             raise BoundaryPoint(
                 f"central differences need {h} of margin on every axis"
             )
@@ -450,7 +518,7 @@ class ScalingField:
     def gradient_of(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
         """Gradient of spec at in-grid points, analytic or central by mode."""
         if self.gradient_mode == "analytic":
-            return spec.gradient(pts)
+            return analytic_gradient(spec, pts)
         return self.differences(partial(evaluate, spec), pts,
                                 range(self.manifold.dimension))
 
@@ -459,7 +527,7 @@ class ScalingField:
         """d spec/dx_axis at in-grid points, analytic or central by mode;
         the other axes are not differenced."""
         if self.gradient_mode == "analytic":
-            return spec.gradient(pts)[..., axis]
+            return analytic_gradient(spec, pts)[..., axis]
         return self.differences(partial(evaluate, spec), pts, (axis,))[..., 0]
 
     def gamma_delta(self, x) -> Tuple[np.ndarray, np.ndarray]:

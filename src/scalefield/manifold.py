@@ -109,15 +109,16 @@ class Manifold:
             raise OutOfBounds(f"point {np.asarray(bad).tolist()} outside bounds")
         return pts
 
-    def margin_inside(self, x, margin: float) -> np.ndarray:
-        """True where every axis has ``margin`` of room to both bounds.
+    def margin_inside(self, x, margin: float) -> bool:
+        """Whether every point has ``margin`` of room to both bounds on
+        every axis; one flat test, as no caller needs it per point.
 
         A relative slack absorbs the last-ulp wobble of grid nodes built by
         linspace, so interior nodes always qualify at margin = spacing.
         """
         pts = self.as_points(x)
         m = margin - 1e-12 * (1.0 + abs(margin))
-        return ((pts >= self._lo + m) & (pts <= self._hi - m)).all(axis=-1)
+        return bool(((pts >= self._lo + m) & (pts <= self._hi - m)).all())
 
     def interior_corners(self) -> np.ndarray:
         """The first and last interior node, shape (2, dim): every interior

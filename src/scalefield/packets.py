@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import OutOfBounds, ZeroLevel
-from .fields import ScalingField, connection_factor
+from .fields import ScalingField, connection_factor, coordinate_sum
 from .manifold import Manifold
 
 
@@ -95,11 +95,11 @@ def packet_norm_squared(psi: WavePacket) -> float:
 
 def _gaussian(d: np.ndarray, width: float, momentum) -> np.ndarray:
     """exp(-|d|^2 / (2 sigma^2)) exp(i k.d) at offsets d from the centre."""
-    amp = np.exp(-np.sum(d * d, axis=-1) / (2.0 * float(width) ** 2))
+    amp = np.exp(-coordinate_sum(d * d) / (2.0 * float(width) ** 2))
     amp = amp.astype(complex)
     if momentum is not None:
         k = np.asarray(momentum, dtype=float)
-        amp = amp * np.exp(1j * np.sum(d * k, axis=-1))
+        amp = amp * np.exp(1j * coordinate_sum(d * k))
     return amp
 
 

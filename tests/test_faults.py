@@ -193,7 +193,7 @@ def _tabulated_value_with_weights_swapped(self, pts):
     xi = pts.reshape(-1, len(self._axes))
     base = 0
     sides = []
-    for a, (nodes, stride) in enumerate(self._axes):
+    for a, (nodes, _, stride) in enumerate(self._axes):
         x = xi[:, a]
         i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
                     0, len(nodes) - 2)
@@ -207,6 +207,42 @@ def _tabulated_value_with_weights_swapped(self, pts):
         out = out + self._flat[base + offset] * weight
     out[np.isnan(xi).any(axis=-1)] = np.nan
     return out.reshape(pts.shape[:-1])
+
+
+_tabulated_init = fields.TabulatedField.__post_init__
+
+
+def _tabulated_init_calling_every_table_finite(self):
+    """TabulatedField.__post_init__ with the finiteness flag always set, so
+    corners of weight zero are skipped in tables holding +-inf too."""
+    _tabulated_init(self)
+    object.__setattr__(self, "_finite", True)
+
+
+def _coordinate_sum_right_to_left(x):
+    """fields.coordinate_sum adding the columns from the last to the first."""
+    cols = x.T
+    out = 0.0 + cols[-1]
+    for k in range(len(cols) - 2, -1, -1):
+        out += cols[k]
+    return out.T
+
+
+def _integrate_with_a_dot_per_slice(q, m, steps, weight=None):
+    """paths._integrate summing each slice of a block with its own np.dot."""
+    eta = m.metric_diagonal
+    total = weighted = 0.0
+    for a, b, n in paths.simpson_pieces(q, steps):
+        for s, w in paths._simpson_blocks(a, b, n):
+            for i0 in range(0, len(s), paths._SLICE_NODES):
+                part = slice(i0, i0 + paths._SLICE_NODES)
+                v = q.piece_velocity(s[part], a, b)
+                g = np.sqrt(np.abs(fields.coordinate_sum(eta * v * v)))
+                total += float(np.dot(w[part], g))
+                if weight is not None:
+                    weighted += float(np.dot(
+                        w[part], g * weight(q.position(s[part]))))
+    return total, weighted
 
 
 def _tabulated_run():
@@ -261,6 +297,17 @@ SHARED = (test_gauge.test_residual_evaluates_each_field_once_per_stencil_point,
 PARTIALS = tuple(
     partial(test_fields.test_axis_derivative_field_is_its_fields_partial, mode)
     for mode in ("analytic", "central"))
+ON_NODES_WITH_INF = tuple(
+    partial(test_fields.test_tabulated_field_on_nodes_matches_scipy_bit_for_bit,
+            dim, "holding +-inf")
+    for dim in (3, 4))
+COORDINATE_SUMS = tuple(
+    partial(test_fields.test_coordinate_sum_is_the_last_axis_sum_bit_for_bit,
+            shape)
+    for shape in ((500, 3), (500, 4), (3, 5, 7, 4)))
+MULTI_BLOCK = tuple(
+    partial(test_paths.test_multi_block_path_lengths_are_pinned, name)
+    for name in sorted(test_paths.MULTI_BLOCK_PINS))
 RESIDUALS = (CRITERION_08, test_gauge.test_invariance_residual_is_machine_small,
              test_gauge.test_residual_in_central_difference_mode, _demo_digests)
 
@@ -337,6 +384,14 @@ FAULTS = {
         fields.TabulatedField, "value", _tabulated_value_with_weights_swapped,
         TABULATED),
     # criterion 02 stays green: v -> (s/t) v composes as exactly as (t/s) v
+    "tabulated corners skipped without the finiteness flag": (
+        fields.TabulatedField, "__post_init__",
+        _tabulated_init_calling_every_table_finite, ON_NODES_WITH_INF),
+    "coordinate sum added right to left": (
+        fields, "coordinate_sum", _coordinate_sum_right_to_left,
+        (*COORDINATE_SUMS, _demo_digests)),
+    "Simpson block summed with one np.dot per slice": (
+        paths, "_integrate", _integrate_with_a_dot_per_slice, MULTI_BLOCK),
     "relabel with t and s swapped": (
         structures.relabel, "__code__", _relabel_with_t_and_s_swapped.__code__,
         (test_structures.test_relabel_matches_stride_change,

@@ -1,10 +1,12 @@
 """Scaling field evaluation, connection factors, and covariant derivatives."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from scalefield import fields
 from scalefield.errors import (
     BoundaryPoint,
     OutOfBounds,
@@ -291,6 +293,94 @@ def test_tabulated_field_matches_scipy_bit_for_bit(dim, nodes):
                                                                      name)
     assert np.isnan(TabulatedField(m, values).value(with_nan)).tolist() \
         == [False, True, False]
+
+
+def _on_node_batches(m, rng):
+    """Point batches that sit on a node along each subset of axes: on a
+    node below the last (y = 0), on the last node (y = 1), at -0.0 where 0.0
+    is a node, with a NaN coordinate in one row, and with the other axes
+    far past the box in four rows; plus central-difference stencils of the
+    interior grid nodes."""
+    dim = m.dimension
+    nodes = [m.axis_nodes(a) for a in range(dim)]
+    lo = np.array([n[0] for n in nodes])
+    hi = np.array([n[-1] for n in nodes])
+    batches = {}
+    for subset in itertools.product((False, True), repeat=dim):
+        on = [a for a in range(dim) if subset[a]]
+        below = rng.uniform(lo, hi, (48, dim))
+        last, zero = below.copy(), below.copy()
+        for a in on:
+            below[:, a] = rng.choice(nodes[a][:-1], len(below))
+            last[:, a] = nodes[a][-1]
+            zero[:, a] = -0.0
+        with_nan = below.copy()
+        with_nan[5, -1] = np.nan
+        # off the nodes, far past the box: a weight there may be inf, and
+        # inf * 0 is NaN, so no corner is skipped
+        far = below.copy()
+        for a in set(range(dim)) - set(on):
+            far[:4, a] = (np.inf, -np.inf, 1e200, -1e200)
+        for name, pts in (("y = 0", below), ("y = 1", last),
+                          ("-0.0 on the 0.0 node", zero),
+                          ("a NaN coordinate", with_nan),
+                          ("far past the box", far)):
+            batches[name, subset] = pts
+    interior = m.interior_grid_points()
+    for a in range(dim):
+        h = np.zeros(dim)
+        h[a] = m.spacing[a]
+        batches["stencil +h", a] = interior + h
+        batches["stencil -h", a] = interior - h
+    return batches
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("table", ["finite", "holding +-inf"])
+def test_tabulated_field_on_nodes_matches_scipy_bit_for_bit(dim, table):
+    # on a node the other side's weight is exactly 0: the kernel skips that
+    # corner only where doing so keeps every bit, which a table holding inf
+    # (inf * 0 is NaN) never does
+    rng = np.random.default_rng(10 + dim)
+    m = Manifold(dim, tuple((-1.0, 1.0 + 0.5 * a) for a in range(dim)),
+                 (0.5,) * dim)
+    assert all(0.0 in m.axis_nodes(a) for a in range(dim))
+    values = rng.standard_normal(m.grid_shape)
+    values.flat[::7] = -0.0
+    if table == "holding +-inf":
+        values.flat[::3] = np.inf
+        values.flat[1::5] = -np.inf
+    tab = TabulatedField(m, values)
+    nans = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, pts in _on_node_batches(m, rng).items():
+            want = _scipy_linear(m, values, pts)
+            assert _same_bits(tab.value(pts), want), name
+            nans += np.isnan(want).sum()
+    if table == "holding +-inf":
+        assert nans > 0
+
+
+_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.5,
+                      1e308, -1e308, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (500, 3), (500, 4),
+                                   (3, 5, 7, 4)])
+def test_coordinate_sum_is_the_last_axis_sum_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    draws = [rng.choice(_SPECIALS, shape) for _ in range(300 // len(shape))]
+    draws += [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300,
+                                                                shape)]
+    draws += [np.full(shape, -0.0)]
+    with np.errstate(all="ignore"):
+        for x in draws:
+            want = x.sum(axis=-1)
+            got = fields.coordinate_sum(x)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            # the bit patterns, NaN payloads and signs of zero included
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64)), x
 
 
 def test_tabulated_requires_central_mode():

@@ -365,3 +365,37 @@ def test_shared_residual_equals_the_residual_of_its_unshared_terms():
     want = np.max(np.abs(after + 1j * dbeta - before), axis=-1)
     assert np.count_nonzero(want) > len(want) // 2
     assert np.array_equal(invariance_residual(f, cfg, tr, pts), want)
+
+
+class CountedGradient(FieldSpec):
+    """An analytic spec that counts the calls of its gradient."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.gradients = 0
+
+    def value(self, pts):
+        return self.spec.value(pts)
+
+    def gradient(self, pts):
+        self.gradients += 1
+        return self.spec.gradient(pts)
+
+    @property
+    def is_constant(self):
+        return self.spec.is_constant
+
+
+def test_residual_takes_alphas_analytic_gradient_once():
+    # the photon shift takes dim partials of alpha and d beta its gradient:
+    # in analytic mode all five read one gradient of alpha per call
+    m = spacetime(nodes=9, half=2.0)
+    pts = m.interior_grid_points()
+    alpha = CountedGradient(GaussianField(0.4, (0.0, 0.2, -0.1, 0.3), 1.2))
+    f = make_field(m)
+    cfg = GaugeConfig(1.0, 0.8, 0.6, constant_photon((0.1, 0.0, -0.2, 0.3)))
+    tr = GaugeTransform(alpha, LinearField((0.2, -0.1, 0.3, 0.1)))
+    for _ in range(2):
+        alpha.gradients = 0
+        assert np.max(invariance_residual(f, cfg, tr, pts)) < 1e-10
+        assert alpha.gradients == 1
