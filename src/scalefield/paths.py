@@ -69,13 +69,21 @@ class SegmentPath(Path):
             raise ValueError("endpoints must be two points of equal dimension")
 
     def position(self, s: np.ndarray) -> np.ndarray:
+        """start + s (end - start), a coordinate at a time: broadcasting the
+        row end - start over the nodes runs one inner loop of dim entries
+        per node, at several times the cost, for the same bits."""
         s = np.asarray(s, dtype=float)
-        return self.start + s[..., None] * (self.end - self.start)
+        d = self.end - self.start
+        out = np.empty(s.shape + d.shape)
+        for k in range(len(d)):
+            col = out[..., k]
+            np.multiply(s, d[k], out=col)
+            col += self.start[k]
+        return out
 
     def velocity(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        return np.broadcast_to(self.end - self.start,
-                               s.shape + self.start.shape).copy()
+        return np.tile(self.end - self.start, s.shape + (1,))
 
 
 def _cells(s: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:

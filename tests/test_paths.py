@@ -90,6 +90,22 @@ def test_simpson_blocks_are_linspace_nodes_and_1_4_2_weights(a, b, n):
     assert np.array_equal(w, want_w)
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_segment_nodes_are_the_broadcast_formula_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    start = rng.uniform(-2.0, 2.0, 4)
+    start[1] = -0.0
+    end = rng.uniform(-2.0, 2.0, 4)
+    end[1] = 0.0
+    s = rng.uniform(-0.5, 1.5, shape)
+    q = SegmentPath(start, end)
+    want = start + s[..., None] * (end - start), np.broadcast_to(
+        end - start, s.shape + (4,))
+    for got, ref in zip((q.position(s), q.velocity(s)), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_long_segment_matches_its_minkowski_length():
     start = np.array([-1.5, -0.7, -1.2, -0.4])
     end = np.array([1.1, 1.6, 0.3, 1.4])
