@@ -138,7 +138,8 @@ class GaussianField(FieldSpec):
         return d if self._mask is None else d * self._mask
 
     def _bump(self, d: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-coordinate_sum(d * d) / (2.0 * self._w2))
+        r2 = coordinate_sum(d * d)
+        return self.amplitude * np.exp(-r2 / (2.0 * self._w2))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self._bump(self._offset(pts))
@@ -262,11 +263,11 @@ class TabulatedField(FieldSpec):
         # per axis: the lone node kept (0 lower, 1 upper), or None for both
         lone = [None] * dim
         if self._finite:
-            lone = [0 if not y.any() else 1 if (y == 1.0).all() else None
-                    for y in ys]
-            if not all(node is not None or (0.0 <= y.min() and y.max() <= 1.0)
-                       for node, y in zip(lone, ys)):
-                lone = [None] * dim
+            found = [0 if not y.any() else 1 if (y == 1.0).all() else None
+                     for y in ys]
+            if all(node is not None or (0.0 <= y.min() and y.max() <= 1.0)
+                   for node, y in zip(found, ys)):
+                lone = found
         # (flat offset, weight) of the lower and upper node of each axis
         # that keeps both; a lone node's weight is exactly 1.0 and is left out
         sides = []
@@ -279,7 +280,8 @@ class TabulatedField(FieldSpec):
         # A corner's weight is the product of the weights of these k axes
         # in axis order; corners come in product order, so prefix[a], the
         # product over the first a + 1 of them, is recomputed only from the
-        # first axis whose side changed.  1.0 * w0 is w0 bit for bit, so no leading 1.0 is needed.
+        # first axis whose side changed.  1.0 * w0 is w0 bit for bit, so no
+        # leading 1.0 is needed.
         prefix = [None] + [np.empty(n) for _ in range(1, k)]
         index = np.empty(n, dtype=np.intp)
         term = np.empty(n)
