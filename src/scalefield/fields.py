@@ -11,9 +11,10 @@ and the one-axis ``partial_of`` are analytic or central by its mode, and
 every finite difference, of theta, phi, a transform's alpha or a matter
 field psi, is its ``differences`` of a function of points.
 Inside a ``shared_evaluation`` block, which the gauge residual opens for
-each call, every spec is evaluated, and analytically differentiated, once
-per point array, and every central difference takes the same shifted
-arrays for one (points, axis, step).
+each call, every spec is evaluated once per point array, the analytic
+gradient that partials and combination terms read is taken once per
+point array, and every central difference takes the same shifted arrays
+for one (points, axis, step).
 The connection-modified derivative lives in ``gauge``: without a gauge field
 it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
@@ -357,6 +358,17 @@ class _Share:
         # (id(spec), id(pts)) -> (spec, pts, spec.gradient(pts))
         self.gradients: Dict[tuple, tuple] = {}
 
+    @staticmethod
+    def once(table: Dict[tuple, tuple],
+             compute: Callable[[np.ndarray], np.ndarray], spec: FieldSpec,
+             pts: np.ndarray) -> np.ndarray:
+        """compute(pts), once per (spec, pts) in ``table``."""
+        key = (id(spec), id(pts))
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = (spec, pts, compute(pts))
+        return entry[2]
+
 
 _SHARE: ContextVar[Optional[_Share]] = ContextVar("scalefield_share",
                                                   default=None)
@@ -376,32 +388,24 @@ def shared_evaluation() -> Iterator[None]:
         _SHARE.reset(token)
 
 
-def _once(table: str, compute: Callable[[np.ndarray], np.ndarray],
-          spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
-    """compute(pts), once per (spec, pts) in the share's ``table``."""
-    share = _SHARE.get()
-    if share is None:
-        return compute(pts)
-    entries = getattr(share, table)
-    key = (id(spec), id(pts))
-    entry = entries.get(key)
-    if entry is None:
-        entry = entries[key] = (spec, pts, compute(pts))
-    return entry[2]
-
-
 def evaluate(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
     """spec.value(pts), computed once per (spec, pts) inside a share.  The
     result is shared, so callers must not write into it."""
-    return _once("values", spec.value, spec, pts)
+    share = _SHARE.get()
+    if share is None:
+        return spec.value(pts)
+    return share.once(share.values, spec.value, spec, pts)
 
 
 def analytic_gradient(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
     """spec.gradient(pts), computed once per (spec, pts) inside a share, as
     ``evaluate`` computes values: the photon shift's dim partials of alpha
-    and d beta then take one gradient of alpha.  Callers must not write
-    into it."""
-    return _once("gradients", spec.gradient, spec, pts)
+    and the terms of d beta then take one gradient of alpha.  Callers must
+    not write into it."""
+    share = _SHARE.get()
+    if share is None:
+        return spec.gradient(pts)
+    return share.once(share.gradients, spec.gradient, spec, pts)
 
 
 def _stencil(pts: np.ndarray, axis: int, h: float
@@ -520,7 +524,7 @@ class ScalingField:
     def gradient_of(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
         """Gradient of spec at in-grid points, analytic or central by mode."""
         if self.gradient_mode == "analytic":
-            return analytic_gradient(spec, pts)
+            return spec.gradient(pts)
         return self.differences(partial(evaluate, spec), pts,
                                 range(self.manifold.dimension))
 
