@@ -10,11 +10,12 @@ How to differentiate is the scaling field's decision alone: ``gradient_of``
 and the one-axis ``partial_of`` are analytic or central by its mode, and
 every finite difference, of theta, phi, a transform's alpha or a matter
 field psi, is its ``differences`` of a function of points.
-Inside a ``shared_evaluation`` block, which the gauge residual opens for
-each call, every spec is evaluated once per point array, the analytic
-gradient that partials and combination terms read is taken once per
-point array, and every central difference takes the same shifted arrays
-for one (points, axis, step).
+A spec's values are read only through ``evaluate`` and its analytic
+gradient only through ``analytic_gradient``.  Inside a
+``shared_evaluation`` block, which the gauge residual opens for each call,
+these two and the shifted arrays of central differences (``_stencil``)
+keep what they compute in one table, so each is computed once per (spec,
+points) or (points, axis, step) until the block ends.
 The connection-modified derivative lives in ``gauge``: without a gauge field
 it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
@@ -277,33 +278,12 @@ class TabulatedField(FieldSpec):
                 sides.append(((0, 1 - y), (stride, y)))
             elif node == 1:
                 base = base + stride
-        k = len(sides)
-        # A corner's weight is the product of the weights of these k axes
-        # in axis order; corners come in product order, so prefix[a], the
-        # product over the first a + 1 of them, is recomputed only from the
-        # first axis whose side changed.  1.0 * w0 is w0 bit for bit, so no
-        # leading 1.0 is needed.
-        prefix = [None] + [np.empty(n) for _ in range(1, k)]
-        index = np.empty(n, dtype=np.intp)
-        term = np.empty(n)
         out = np.zeros(n)
-        last = None
-        for corner in itertools.product((0, 1), repeat=k):
-            first = 0 if last is None else next(
-                a for a in range(k) if corner[a] != last[a])
-            for a in range(first, k):
-                w = sides[a][corner[a]][1]
-                prefix[a] = w if a == 0 else np.multiply(prefix[a - 1], w,
-                                                         out=prefix[a])
-            last = corner
-            offset = sum(sides[a][c][0] for a, c in enumerate(corner))
-            # indices lie inside the table by construction, so clipping
-            # never acts; it only lets take write into term unbuffered
-            np.take(self._flat, np.add(base, offset, out=index), out=term,
-                    mode="clip")
-            if k:
-                np.multiply(term, prefix[-1], out=term)
-            np.add(out, term, out=out)
+        for corner in itertools.product(*sides):
+            offset = sum(o for o, _ in corner)
+            # the weights multiply left to right in axis order; 1 * w is w
+            # bit for bit, and x * 1 is x
+            out += self._flat[base + offset] * math.prod(w for _, w in corner)
         out[nan] = np.nan
         return out.reshape(pts.shape[:-1])
 
@@ -344,34 +324,10 @@ class CombinationField(FieldSpec):
         return all(c == 0 or s.is_constant for c, s in self.terms)
 
 
-class _Share:
-    """Shifted stencil arrays, spec values and analytic spec gradients of
-    one block, keyed by the identity of their arrays and specs.  Each entry
-    holds the objects its key names, so no id is reused while the block
-    lasts."""
-
-    def __init__(self) -> None:
-        # (id(pts), axis, h) -> (pts, pts + h e_axis, pts - h e_axis)
-        self.stencils: Dict[tuple, tuple] = {}
-        # (id(spec), id(pts)) -> (spec, pts, spec.value(pts))
-        self.values: Dict[tuple, tuple] = {}
-        # (id(spec), id(pts)) -> (spec, pts, spec.gradient(pts))
-        self.gradients: Dict[tuple, tuple] = {}
-
-    @staticmethod
-    def once(table: Dict[tuple, tuple],
-             compute: Callable[[np.ndarray], np.ndarray], spec: FieldSpec,
-             pts: np.ndarray) -> np.ndarray:
-        """compute(pts), once per (spec, pts) in ``table``."""
-        key = (id(spec), id(pts))
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = (spec, pts, compute(pts))
-        return entry[2]
-
-
-_SHARE: ContextVar[Optional[_Share]] = ContextVar("scalefield_share",
-                                                  default=None)
+# The share of a ``shared_evaluation`` block: one table, keyed by the kind
+# of quantity and the ids of the objects it is computed from.
+_SHARE: ContextVar[Optional[Dict[tuple, tuple]]] = ContextVar(
+    "scalefield_share", default=None)
 
 
 @contextmanager
@@ -381,41 +337,46 @@ def shared_evaluation() -> Iterator[None]:
     The share ends with the block, also when the block raises, so no value
     outlives the call that opened it.
     """
-    token = _SHARE.set(_Share())
+    token = _SHARE.set({})
     try:
         yield
     finally:
         _SHARE.reset(token)
 
 
+def _once(share: Dict[tuple, tuple], key: tuple, compute: Callable,
+          *args) -> object:
+    """compute(*args), once per key in ``share``.  The entry holds compute
+    and args, which hold the objects whose ids the key names, so no id is
+    reused while the block lasts."""
+    entry = share.get(key)
+    if entry is None:
+        entry = share[key] = (compute, args, compute(*args))
+    return entry[2]
+
+
 def evaluate(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
-    """spec.value(pts), computed once per (spec, pts) inside a share.  The
-    result is shared, so callers must not write into it."""
+    """spec.value(pts), the one call of a spec's values: computed once per
+    (spec, pts) inside a share.  The result is shared, so callers must not
+    write into it."""
     share = _SHARE.get()
     if share is None:
         return spec.value(pts)
-    return share.once(share.values, spec.value, spec, pts)
+    return _once(share, ("value", id(spec), id(pts)), spec.value, pts)
 
 
 def analytic_gradient(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
-    """spec.gradient(pts), computed once per (spec, pts) inside a share, as
-    ``evaluate`` computes values: the photon shift's dim partials of alpha
-    and the terms of d beta then take one gradient of alpha.  Callers must
-    not write into it."""
+    """spec.gradient(pts), the one call of a spec's analytic gradient:
+    computed once per (spec, pts) inside a share, as ``evaluate`` computes
+    values.  Callers must not write into it."""
     share = _SHARE.get()
     if share is None:
         return spec.gradient(pts)
-    return share.once(share.gradients, spec.gradient, spec, pts)
+    return _once(share, ("gradient", id(spec), id(pts)), spec.gradient, pts)
 
 
-def _stencil(pts: np.ndarray, axis: int, h: float
+def _shifted(pts: np.ndarray, axis: int, h: float
              ) -> Tuple[np.ndarray, np.ndarray]:
-    """pts shifted by +h and by -h along ``axis``; inside a share, the same
-    two arrays for every caller."""
-    share = _SHARE.get()
-    key = (id(pts), axis, h)
-    if share is not None and key in share.stencils:
-        return share.stencils[key][1:]
     # pts + h e_axis and pts - h e_axis bit for bit, without broadcasting a
     # row over the points: x + 0.0 turns -0 into +0 as x + 0 does, and
     # x - 0.0 is x
@@ -423,9 +384,17 @@ def _stencil(pts: np.ndarray, axis: int, h: float
     plus[..., axis] += h
     minus = pts.copy()
     minus[..., axis] -= h
-    if share is not None:
-        share.stencils[key] = (pts, plus, minus)
     return plus, minus
+
+
+def _stencil(pts: np.ndarray, axis: int, h: float
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """pts shifted by +h and by -h along ``axis``; inside a share, the same
+    two arrays for every caller."""
+    share = _SHARE.get()
+    if share is None:
+        return _shifted(pts, axis, h)
+    return _once(share, ("stencil", id(pts), axis, h), _shifted, pts, axis, h)
 
 
 @dataclass(frozen=True)
@@ -483,18 +452,18 @@ class ScalingField:
             raise ValueError("gradient step must be positive")
         # probe once so malformed specs fail at construction, not mid-run
         center = np.array([(lo + hi) / 2.0 for lo, hi in self.manifold.bounds])
-        self.theta.value(center[None, :])
-        self.phi.value(center[None, :])
+        evaluate(self.theta, center[None, :])
+        evaluate(self.phi, center[None, :])
 
     # -- raw components ----------------------------------------------------
 
     def theta_at(self, x) -> np.ndarray:
         pts = self.manifold.require_inside(x)
-        return np.asarray(self.theta.value(pts))
+        return np.asarray(evaluate(self.theta, pts))
 
     def phi_at(self, x) -> np.ndarray:
         pts = self.manifold.require_inside(x)
-        return np.asarray(self.phi.value(pts))
+        return np.asarray(evaluate(self.phi, pts))
 
     def differentiates(self, spec: FieldSpec) -> bool:
         """Whether ``gradient_of`` can take spec's gradient: by central
@@ -524,7 +493,7 @@ class ScalingField:
     def gradient_of(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
         """Gradient of spec at in-grid points, analytic or central by mode."""
         if self.gradient_mode == "analytic":
-            return spec.gradient(pts)
+            return analytic_gradient(spec, pts)
         return self.differences(partial(evaluate, spec), pts,
                                 range(self.manifold.dimension))
 
@@ -544,7 +513,8 @@ class ScalingField:
 def eval_f(fieldref: ScalingField, x) -> np.ndarray:
     """f(x) = exp(theta + i phi), vectorized over points."""
     pts = fieldref.manifold.require_inside(x)
-    return np.exp(fieldref.theta.value(pts) + 1j * fieldref.phi.value(pts))
+    return np.exp(evaluate(fieldref.theta, pts)
+                  + 1j * evaluate(fieldref.phi, pts))
 
 
 def gradients(fieldref: ScalingField, x) -> Tuple[np.ndarray, np.ndarray]:

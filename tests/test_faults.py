@@ -128,10 +128,13 @@ def _evaluate_keyed_by_spec(spec, pts):
     share = fields._SHARE.get()
     if share is None:
         return spec.value(pts)
-    entry = share.values.get(id(spec))
-    if entry is None:
-        entry = share.values[id(spec)] = (spec, pts, spec.value(pts))
-    return entry[2]
+    return fields._once(share, ("value", id(spec)), spec.value, pts)
+
+
+def _analytic_gradient_afresh(spec, pts):
+    """fields.analytic_gradient taking the gradient on every call, also
+    inside a share."""
+    return spec.gradient(pts)
 
 
 _stencil = fields._stencil
@@ -364,6 +367,9 @@ FAULTS = {
         fields, "evaluate", _evaluate_keyed_by_spec, SHARED),
     "evaluation share giving the +h array for both shifts": (
         fields, "_stencil", _stencil_with_plus_for_both, SHARED),
+    "analytic gradient taken afresh inside a share": (
+        fields, "analytic_gradient", _analytic_gradient_afresh,
+        (test_gauge.test_residual_takes_alphas_analytic_gradient_once,)),
     "central difference of theta and phi over h where 2h belongs": (
         fields.ScalingField, "differences", _differences_over_h_for(True),
         (CRITERION_09, test_fields.test_central_gradient_matches_linear_exactly,

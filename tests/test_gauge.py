@@ -1,11 +1,13 @@
 """Gauge derivative, transforms, and the invariance identity."""
 
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from scalefield.errors import BoundaryPoint, ZeroCoupling
+from scalefield.errors import BoundaryPoint, OutOfBounds, ZeroCoupling
 from scalefield.fields import (
     CombinationField,
     ConstantField,
@@ -14,6 +16,9 @@ from scalefield.fields import (
     LinearField,
     ScalingField,
     TabulatedField,
+    connection_factor,
+    eval_f,
+    shared_evaluation,
 )
 from scalefield.gauge import (
     GaugeConfig,
@@ -368,13 +373,16 @@ def test_shared_residual_equals_the_residual_of_its_unshared_terms():
 
 
 class CountedGradient(FieldSpec):
-    """An analytic spec that counts the calls of its gradient."""
+    """An analytic spec that counts the calls of its value and of its
+    gradient."""
 
     def __init__(self, spec):
         self.spec = spec
+        self.values = 0
         self.gradients = 0
 
     def value(self, pts):
+        self.values += 1
         return self.spec.value(pts)
 
     def gradient(self, pts):
@@ -387,15 +395,51 @@ class CountedGradient(FieldSpec):
 
 
 def test_residual_takes_alphas_analytic_gradient_once():
-    # the photon shift takes dim partials of alpha and d beta its gradient:
-    # in analytic mode all five read one gradient of alpha per call
+    # the photon shift takes dim partials of alpha and d beta its gradient,
+    # and both connections take theta's and phi's: in analytic mode each
+    # spec's gradient is taken once per call
     m = spacetime(nodes=9, half=2.0)
     pts = m.interior_grid_points()
-    alpha = CountedGradient(GaussianField(0.4, (0.0, 0.2, -0.1, 0.3), 1.2))
+    specs = {
+        "alpha": CountedGradient(GaussianField(0.4, (0.0, 0.2, -0.1, 0.3), 1.2)),
+        "theta": CountedGradient(LinearField((0.2, -0.3, 0.1, 0.4))),
+        "phi": CountedGradient(GaussianField(0.7, (0.0, 0.1, -0.2, 0.0), 0.9)),
+    }
+    f = make_field(m, specs["theta"], specs["phi"])
+    cfg = GaugeConfig(1.0, 0.8, 0.6, constant_photon((0.1, 0.0, -0.2, 0.3)))
+    tr = GaugeTransform(specs["alpha"], LinearField((0.2, -0.1, 0.3, 0.1)))
+    for _ in range(2):
+        for spec in specs.values():
+            spec.gradients = 0
+        assert np.max(invariance_residual(f, cfg, tr, pts)) < 1e-10
+        assert {name: spec.gradients for name, spec in specs.items()} == {
+            "alpha": 1, "theta": 1, "phi": 1}
+
+
+def test_each_accessor_reads_the_shared_evaluation():
+    m = spacetime(nodes=9, half=2.0)
+    pts = m.interior_grid_points()
+    theta = CountedGradient(LinearField((0.2, -0.3, 0.1, 0.4)))
+    phi = CountedGradient(GaussianField(0.7, (0.0, 0.1, -0.2, 0.0), 0.9))
+    f = make_field(m, theta, phi)
+    theta.values = phi.values = 0
+    with shared_evaluation():
+        f.theta_at(pts)
+        f.phi_at(pts)
+        eval_f(f, pts)
+        connection_factor(f, pts, pts)
+        f.gamma_delta(pts)
+    assert [(s.values, s.gradients) for s in (theta, phi)] == [(1, 1)] * 2
+
+
+def test_off_grid_points_raise_out_of_bounds_naming_the_point():
+    m = spacetime()
     f = make_field(m)
     cfg = GaugeConfig(1.0, 0.8, 0.6, constant_photon((0.1, 0.0, -0.2, 0.3)))
-    tr = GaugeTransform(alpha, LinearField((0.2, -0.1, 0.3, 0.1)))
-    for _ in range(2):
-        alpha.gradients = 0
-        assert np.max(invariance_residual(f, cfg, tr, pts)) < 1e-10
-        assert alpha.gradients == 1
+    tr = GaugeTransform(GaussianField(0.4, (0.0, 0.2, -0.1, 0.3), 1.2),
+                        LinearField((0.2, -0.1, 0.3, 0.1)))
+    pts = np.array([[0.0, 0.1, 0.0, 0.0], [0.5, 1.5, 0.0, 0.0]])
+    for call in (partial(gauge_connection, f, cfg),
+                 partial(invariance_residual, f, cfg, tr)):
+        with pytest.raises(OutOfBounds, match=re.escape("[0.5, 1.5, 0.0, 0.0]")):
+            call(pts)
