@@ -73,9 +73,11 @@ def _check_dim(cfg: GaugeConfig, fieldref: ScalingField) -> None:
 
 
 def gauge_connection(fieldref: ScalingField, cfg: GaugeConfig, x) -> np.ndarray:
-    """g_r Gamma + i g_i Delta + i h_i B as a complex covector at x."""
+    """g_r Gamma + i g_i Delta + i h_i B as a complex covector at x.
+
+    ``gamma_delta`` checks the bounds before anything is evaluated."""
     _check_dim(cfg, fieldref)
-    pts = fieldref.manifold.require_inside(x)
+    pts = fieldref.manifold.as_points(x)
     gamma, delta = fieldref.gamma_delta(pts)
     return cfg.g_r * gamma + 1j * (cfg.g_i * delta + cfg.h_i * cfg.photon_at(pts))
 
