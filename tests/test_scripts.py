@@ -89,6 +89,29 @@ def test_grids_outputs_of_seed_11_are_pinned(tmp_path):
     assert digests == GRIDS_SEED_11
 
 
+# sha256 of the trajectories workload's outputs for seed 11, recorded the
+# same way: two 2000-step RK4 geodesics on the 4d Minkowski box, which
+# share tau_end, h_tau and drag contraction.
+TRAJECTORIES_SEED_11 = {
+    "00_geodesic.csv":
+        "a11463beb81206a2de8773e06db618cea538a2099465e6452c6d1ea431701a94",
+    "01_geodesic.csv":
+        "8f9a4090e91ae41356bc4c3052bbfe035ef30f11a24668bede3af49c1c355353",
+    "summary.json":
+        "2d400ee98eaf1b647013fc46b23700af7975737397b38d7adf134040c2a3d20c",
+}
+
+
+def test_trajectories_outputs_of_seed_11_are_pinned(tmp_path):
+    scenario = tmp_path / "trajectories.json"
+    load_workloads().write("trajectories", 11, str(scenario))
+    out = tmp_path / "out"
+    assert run_scenario(str(scenario), out=str(out)) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+    assert digests == TRAJECTORIES_SEED_11
+
+
 def test_task_peaks_prints_one_positive_peak_per_task(tmp_path):
     run = run_script("task_peaks.py", "--seed", "3")
     assert run.returncode == 0, run.stderr
