@@ -11,18 +11,33 @@ both reduce to d2q/dtau2 = 0.
 
 Stepping is classical fourth-order Runge-Kutta on the stacked state (q, v)
 with a fixed step, so halving it shrinks the endpoint error sixteenfold on
-smooth fields.  States fill one table of rows [tau | q | v]; a trajectory that
-exits the manifold keeps its rows so far, still useful, with `left_domain` set.
+smooth fields.  There is one RK4 loop, over states of shape (..., 2 dim):
+leading shape () for one trajectory (``integrate_geodesic``) and (N,) for a
+batch (``integrate_geodesics``), which takes each RK4 stage in one call for
+all N.  A trajectory's states fill one table of rows [tau | q | v]; one that
+exits the manifold keeps its rows so far, still useful, with `left_domain`
+set.  A batch row whose step exits stops there alone, and that step is
+redone for each other row by itself, so every row of a batch is bit for bit
+its lone integration.
+
+A scenario's geodesic tasks share batches: validation puts the tasks that
+share tau_end, h_tau and drag contraction, and so one step count and step,
+into one ``GeodesicBatch`` in task order, while their tables together hold
+at most MAX_GEODESIC_STEPS + 1 rows, the most one task may hold.  Each task
+still calls ``integrate_geodesic`` for its own trajectory; the first call of
+a batch integrates it all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BoundaryPoint, OutOfBounds
 from .fields import ScalingField
+from .manifold import Manifold
 from .paths import SplinePath
 
 
@@ -91,17 +106,71 @@ def rk4_steps(ratio: float) -> int:
 
 def _rate(y: np.ndarray, fieldref: ScalingField, drag: np.ndarray,
           eta: np.ndarray) -> np.ndarray:
-    """dy/dtau of the stacked state y = (q, v), asking the field for Gamma."""
-    q, v = y.reshape(2, -1)
-    gamma = fieldref.gradient_of(fieldref.theta,
-                                 fieldref.manifold.require_inside(q))
-    return np.concatenate((v, -(np.dot(drag * gamma, v)) * v - eta * gamma))
+    """dy/dtau of stacked states y = (q, v), asking the field for Gamma.
+
+    y is one state (2 dim,) or a batch (N, 2 dim).  A batch hands the field
+    its points as (N, 1, dim) and contracts the drag by stacked matmul, so
+    each row reduces over its coordinates as np.dot does for one state, bit
+    for bit; (N, dim) @ a takes BLAS gemv, whose sums differ.
+    """
+    dim = eta.shape[0]
+    q, v = y[..., :dim], y[..., dim:]
+    if y.ndim == 1:
+        gamma = fieldref.gradient_of(fieldref.theta, q)
+        return np.concatenate((v, -(np.dot(drag * gamma, v)) * v
+                               - eta * gamma))
+    gamma = fieldref.gradient_of(fieldref.theta, q[:, None])[:, 0]
+    c = np.matmul((drag * gamma)[:, None], v[:, :, None])[:, 0]
+    return np.concatenate((v, -c * v - eta * gamma), axis=1)
 
 
-def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
-                       tau_end: float, h_tau: float,
-                       drag_contraction: str = "euclidean") -> Trajectory:
-    """Integrate from tau = 0 to tau_end with step ~h_tau (exact divisor)."""
+def _step(y: np.ndarray, h: float, m: Manifold, args) -> np.ndarray:
+    """One RK4 step of y, one state or a batch.  Raises OutOfBounds or
+    BoundaryPoint if a stage point or the end of any row is off the grid,
+    or lacks the margin of central differences.  The first stage's point is
+    y, which passed the previous step's end test or the start's."""
+    dim = m.dimension
+    k1 = _rate(y, *args)
+    z = y + 0.5 * h * k1
+    m.require_inside(z[..., :dim])
+    k2 = _rate(z, *args)
+    z = y + 0.5 * h * k2
+    m.require_inside(z[..., :dim])
+    k3 = _rate(z, *args)
+    z = y + h * k3
+    m.require_inside(z[..., :dim])
+    k4 = _rate(z, *args)
+    y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not m.contains(y[..., :dim]).all():
+        raise OutOfBounds("stepped outside the grid")
+    return y
+
+
+def _step_each(y: np.ndarray, h: float, m: Manifold,
+               args) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row of the batch y stepped by itself: the stepped rows that
+    stayed on the domain, and the mask of those rows."""
+    stepped, ok = [], np.zeros(len(y), dtype=bool)
+    for i, row in enumerate(y):
+        try:
+            stepped.append(_step(row, h, m, args))
+            ok[i] = True
+        except (OutOfBounds, BoundaryPoint):
+            # central-difference gradients shrink the usable region by
+            # their stencil margin; either way the step cannot be completed
+            pass
+    return np.array(stepped).reshape(-1, y.shape[1]), ok
+
+
+def _integrate(y: np.ndarray, fieldref: ScalingField, tau_end: float,
+               h_tau: float, drag_contraction: str
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The one RK4 loop, from tau = 0 to tau_end with step ~h_tau (exact
+    divisor), over y, one state (2 dim,) or a batch (N, 2 dim).
+
+    Returns the table of rows [tau | q | v], shape (..., n + 1, 1 + 2 dim),
+    and the steps each row completed, shape (...).
+    """
     if not h_tau > 0:
         raise ValueError("step must be positive")
     if not tau_end > 0:
@@ -111,27 +180,84 @@ def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
             m.metric_diagonal)
     n = rk4_steps(tau_end / h_tau)
     h = tau_end / n
-    dim = m.dimension
-    table = np.empty((n + 1, 1 + 2 * dim))
-    table[:, 0] = h * np.arange(n + 1)
-    y = table[0, 1:] = np.concatenate((m.require_inside(state0.position),
-                                       state0.velocity))
+    m.require_inside(y[..., :m.dimension])
+    lead = y.shape[:-1]
+    table = np.empty((*lead, n + 1, 1 + y.shape[-1]))
+    table[..., 0] = h * np.arange(n + 1)
+    table[..., 0, 1:] = y
+    done = np.full(lead, n)
+    live = np.arange(lead[0]) if lead else ...  # the rows still stepping
     for k in range(n):
         try:
-            k1 = _rate(y, *args)
-            k2 = _rate(y + 0.5 * h * k1, *args)
-            k3 = _rate(y + 0.5 * h * k2, *args)
-            k4 = _rate(y + h * k3, *args)
-            y = table[k + 1, 1:] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not m.contains(y[:dim]):
-                raise OutOfBounds("stepped outside the grid")
+            y = _step(y, h, m, args)
         except (OutOfBounds, BoundaryPoint):
-            # central-difference gradients shrink the usable region by their
-            # stencil margin; either way the step cannot be completed (the
-            # copy frees the rows never reached)
-            table = table[:k + 1].copy()
-            break
-    return Trajectory(table, left_domain=len(table) <= n)
+            if not lead:
+                done[...] = k
+                break
+            y, ok = _step_each(y, h, m, args)
+            done[live[~ok]] = k
+            live = live[ok]
+            if not live.size:
+                break
+        table[..., k + 1, 1:][live] = y
+    return table, done
+
+
+def _trajectory(table: np.ndarray, steps: int) -> Trajectory:
+    """One state table after ``steps`` steps; one that stopped early keeps
+    a copy of the rows it reached, which frees the rows it never did."""
+    if steps < len(table) - 1:
+        return Trajectory(table[:steps + 1].copy(), left_domain=True)
+    return Trajectory(table)
+
+
+@dataclass(eq=False)
+class GeodesicBatch:
+    """States that ``integrate_geodesic`` integrates as one batch, all with
+    the same field, tau_end, h_tau and drag contraction: the first call for
+    any of them integrates them all, and each call takes its own state's
+    trajectory out of the batch."""
+
+    states: List[GeodesicState] = field(default_factory=list)
+    ready: Dict[int, Trajectory] = field(default_factory=dict)  # by id(state)
+
+
+def integrate_geodesics(states: Sequence[GeodesicState],
+                        fieldref: ScalingField, tau_end: float, h_tau: float,
+                        drag_contraction: str = "euclidean"
+                        ) -> List[Trajectory]:
+    """``integrate_geodesic`` of each state, as one batch: each RK4 stage is
+    one call for all of them, and each trajectory is bit for bit the one
+    its lone integration gives."""
+    if len(states) == 1:
+        return [integrate_geodesic(states[0], fieldref, tau_end, h_tau,
+                                   drag_contraction)]
+    y = np.array([np.concatenate((s.position, s.velocity)) for s in states])
+    tables, done = _integrate(y, fieldref, tau_end, h_tau, drag_contraction)
+    return [_trajectory(t, k) for t, k in zip(tables, done)]
+
+
+def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
+                       tau_end: float, h_tau: float,
+                       drag_contraction: str = "euclidean",
+                       batch: Optional[GeodesicBatch] = None) -> Trajectory:
+    """Integrate from tau = 0 to tau_end with step ~h_tau (exact divisor).
+
+    With ``batch``, a GeodesicBatch holding state0, the first call
+    integrates the whole batch with these arguments and each call returns
+    state0's trajectory from it.
+    """
+    if batch is not None:
+        if id(state0) not in batch.ready:
+            batch.ready = dict(zip(
+                map(id, batch.states),
+                integrate_geodesics(batch.states, fieldref, tau_end, h_tau,
+                                    drag_contraction)))
+        return batch.ready.pop(id(state0))
+    table, done = _integrate(np.concatenate((state0.position,
+                                             state0.velocity)),
+                             fieldref, tau_end, h_tau, drag_contraction)
+    return _trajectory(table, int(done))
 
 
 def trajectory_path(trajectory: Trajectory) -> SplinePath:

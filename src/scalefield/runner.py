@@ -108,9 +108,12 @@ def _run_axioms(p, st, rt: RuntimeScenario, seed: Optional[int]):
     return ("axiom", "checks", "failures"), rows, results
 
 
-def _run_geodesic(p, state, rt: RuntimeScenario, seed: Optional[int]):
+def _run_geodesic(p, built, rt: RuntimeScenario, seed: Optional[int]):
+    # the first task of a batch integrates it; each task takes its own row
+    state, batch = built
     tr = integrate_geodesic(state, rt.field, p["tau_end"], p["h_tau"],
-                            drag_contraction=p["drag_contraction"])
+                            drag_contraction=p["drag_contraction"],
+                            batch=batch)
     dim = rt.manifold.dimension
     header = ("tau", *(f"q{m}" for m in range(dim)),
               *(f"v{m}" for m in range(dim)))

@@ -52,7 +52,7 @@ from .fields import (
     TabulatedField,
 )
 from .gauge import GaugeConfig, GaugeTransform, apply_transform
-from .geodesics import GeodesicState, rk4_steps
+from .geodesics import GeodesicBatch, GeodesicState, rk4_steps
 from .manifold import Manifold
 from .outcomes import ComparisonReport, Outcome, compare_outcomes
 from .packets import check_gaussian_packet, slice_time
@@ -536,6 +536,27 @@ def _build_spec(spec: Dict, manifold: Manifold, label: str) -> FieldSpec:
         raise ScenarioValidationError(f"{label}: {err}")
 
 
+def _batched(tasks: Tuple[Task, ...], inputs: list) -> Tuple[Any, ...]:
+    """Each geodesic task's input as (state, batch).  In task order, the
+    geodesics that share tau_end, h_tau and drag_contraction, and so one
+    step count and step, share a GeodesicBatch while their tables together
+    hold at most MAX_GEODESIC_STEPS + 1 rows, as many as one task may."""
+    open_batches: Dict[tuple, Tuple[GeodesicBatch, int]] = {}
+    for i, task in enumerate(tasks):
+        if task.type != "geodesic":
+            continue
+        p = task.params
+        key = (p["tau_end"], p["h_tau"], p["drag_contraction"])
+        rows = rk4_steps(p["tau_end"] / p["h_tau"]) + 1
+        batch, held = open_batches.get(key, (None, 0))
+        if batch is None or held + rows > MAX_GEODESIC_STEPS + 1:
+            batch, held = GeodesicBatch(), 0
+        batch.states.append(inputs[i])
+        open_batches[key] = batch, held + rows
+        inputs[i] = inputs[i], batch
+    return tuple(inputs)
+
+
 def _points(value: Any, path: str) -> Iterator[Tuple[str, Point]]:
     """Every Point in a parsed value, with its dotted path."""
     if isinstance(value, Point):
@@ -617,4 +638,4 @@ def validate_scenario(scenario: Scenario) -> RuntimeScenario:
             inputs.append(row.build(task.params, runtime))
         except (ScaleFieldError, ValueError) as err:
             raise ScenarioValidationError(f"{label}: {err}")
-    return replace(runtime, inputs=tuple(inputs))
+    return replace(runtime, inputs=_batched(scenario.tasks, inputs))

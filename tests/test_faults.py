@@ -23,16 +23,18 @@ import test_csvio
 import test_exact
 import test_fields
 import test_gauge
+import test_geodesic_batch
 import test_geodesic_pins
 import test_geodesics
 import test_golden
 import test_packets
 import test_paths
 import test_scenario
+import test_scripts
 import test_structures
 from scalefield import csvio, exact, fields, gauge, geodesics, packets, paths
 from scalefield import scenario, structures
-from scalefield.errors import NotRepresentable
+from scalefield.errors import BoundaryPoint, NotRepresentable, OutOfBounds
 from scalefield.exact import as_exact
 from scalefield.structures import (
     ScaledStructure,
@@ -41,16 +43,41 @@ from scalefield.structures import (
 )
 
 
-def _rate_with(drag_sign: float, force_sign: float):
-    """geodesics._rate with the drag and force terms scaled by the signs."""
+def _rate_with(drag_sign: float, force_sign: float,
+               across_rows: bool = False):
+    """geodesics._rate with the drag and force terms scaled by the signs;
+    with ``across_rows``, a batch's drag is one sum over all of its rows."""
     def rate(y, fieldref, drag, eta):
-        q, v = y.reshape(2, -1)
-        gamma = fieldref.gradient_of(fieldref.theta,
-                                     fieldref.manifold.require_inside(q))
-        accel = (-drag_sign * np.dot(drag * gamma, v) * v
-                 - force_sign * eta * gamma)
-        return np.concatenate((v, accel))
+        dim = eta.shape[0]
+        q, v = y[..., :dim], y[..., dim:]
+        if y.ndim == 1:
+            gamma = fieldref.gradient_of(fieldref.theta, q)
+            c = np.dot(drag * gamma, v)
+        else:
+            gamma = fieldref.gradient_of(fieldref.theta, q[:, None])[:, 0]
+            c = np.matmul((drag * gamma)[:, None], v[:, :, None])[:, 0]
+            if across_rows:
+                c = np.sum(drag * gamma * v)
+        accel = -drag_sign * c * v - force_sign * eta * gamma
+        return np.concatenate((v, accel), axis=-1)
     return rate
+
+
+def _step_each_keeping_the_leaving_rows(y, h, m, args):
+    """geodesics._step_each with a row whose step leaves kept in the
+    batch, at its last state, instead of stopped."""
+    stepped = []
+    for row in y:
+        try:
+            stepped.append(geodesics._step(row, h, m, args))
+        except (OutOfBounds, BoundaryPoint):
+            stepped.append(row)
+    return np.array(stepped), np.ones(len(y), dtype=bool)
+
+
+def _step_each_stopping_every_row(y, h, m, args):
+    """geodesics._step_each stopping the whole batch for one leaving row."""
+    return y[:0], np.zeros(len(y), dtype=bool)
 
 
 def _trapezoid_blocks(a, b, n):
@@ -264,6 +291,18 @@ def _complex_digests():
             Path(out))
 
 
+def _batched_scenario():
+    with tempfile.TemporaryDirectory() as out:
+        (test_geodesic_batch
+         .test_batched_scenario_writes_what_each_geodesic_writes_alone(
+             Path(out)))
+
+
+def _trajectories_pin():
+    with tempfile.TemporaryDirectory() as out:
+        test_scripts.test_trajectories_outputs_of_seed_11_are_pinned(Path(out))
+
+
 CRITERION_05 = test_acceptance.test_criterion_05_flat_field_geodesics_are_straight_lines
 CRITERION_06 = test_acceptance.test_criterion_06_scaled_length_of_a_unit_segment_is_e_minus_1
 CRITERION_07 = test_acceptance.test_criterion_07_integrator_and_quadrature_convergence_orders
@@ -276,6 +315,10 @@ CENTRAL_PIN = partial(test_geodesic_pins.test_geodesic_bits_are_pinned,
                       "trajectories-family-central")
 REPELS = test_geodesics.test_euclidean_drag_repels_on_identity_metric
 KEEPS_SPEED = test_geodesics.test_minkowski_spatial_motion_attracts_and_keeps_speed
+BATCH = {case: tuple(
+    partial(test_geodesic_batch.test_batch_rows_are_their_lone_integrations,
+            name, case) for name in sorted(test_geodesic_pins.PINS))
+    for case in ("inside", "leaving", "margin")}
 # the operator check's body on one pair with nonzero imaginary parts, since
 # Hypothesis spends seconds shrinking a failure it finds on its own
 EXACT_MUL, EXACT_DIV = (
@@ -324,6 +367,18 @@ FAULTS = {
     "force term sign flipped": (
         geodesics, "_rate", _rate_with(1.0, -1.0),
         (CRITERION_10, REPELS, KEEPS_SPEED, *PINS)),
+    # a lone state keeps the true drag, so only batches see these three
+    "drag contracted across the batch axis": (
+        geodesics, "_rate", _rate_with(1.0, 1.0, across_rows=True),
+        (*BATCH["inside"], _batched_scenario, _trajectories_pin)),
+    "a stopped batch row that keeps stepping": (
+        geodesics, "_step_each", _step_each_keeping_the_leaving_rows,
+        (*BATCH["leaving"], *BATCH["margin"], _batched_scenario,
+         test_geodesic_batch.test_a_batch_that_leaves_entirely_stops_every_row)),
+    "one leaving row that stops the whole batch": (
+        geodesics, "_step_each", _step_each_stopping_every_row,
+        (*BATCH["leaving"], *BATCH["margin"], _batched_scenario,
+         test_geodesic_batch.test_a_batch_that_leaves_entirely_stops_every_row)),
     "trajectory positions read the velocity columns": (
         geodesics.Trajectory, "positions",
         property(lambda tr: tr.velocities),
@@ -432,8 +487,9 @@ def test_the_unbroken_replacement_is_the_rate():
     field, state, *_ = test_geodesic_pins._trajectories_family()
     y = np.concatenate((state.position, state.velocity))
     args = (field, np.ones(4), field.manifold.metric_diagonal)
-    assert np.array_equal(_rate_with(1.0, 1.0)(y, *args),
-                          geodesics._rate(y, *args))
+    for states in (y, np.array([y, 0.5 * y, -y])):
+        assert np.array_equal(_rate_with(1.0, 1.0)(states, *args),
+                              geodesics._rate(states, *args))
 
 
 def test_the_swapped_relabel_is_relabel_with_its_levels_swapped():

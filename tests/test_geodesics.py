@@ -151,7 +151,8 @@ def test_the_geodesic_task_writes_the_state_table_itself(monkeypatch):
     rt = SimpleNamespace(field=f, manifold=BOX4)
     tracemalloc.start()
     try:
-        _, rows, results = runner._run_geodesic(params, s0, rt, None)
+        # with no batch, the handler integrates its state alone
+        _, rows, results = runner._run_geodesic(params, (s0, None), rt, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
