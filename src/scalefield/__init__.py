@@ -45,9 +45,11 @@ from .gauge import (
     invariance_residual,
 )
 from .geodesics import (
+    GeodesicBatch,
     GeodesicState,
     Trajectory,
     integrate_geodesic,
+    integrate_geodesics,
     trajectory_path,
 )
 from .manifold import Manifold
