@@ -91,12 +91,10 @@ class Trajectory:
         return GeodesicState(self.positions[-1], self.velocities[-1])
 
 
-def _drag_weights(fieldref: ScalingField, contraction: str) -> np.ndarray:
-    if contraction == "euclidean":
-        return np.ones(fieldref.manifold.dimension)
-    if contraction == "minkowski":
-        return fieldref.manifold.metric_diagonal
-    raise ValueError(f"unknown drag contraction {contraction!r}")
+def _minkowski_drag(contraction: str) -> bool:
+    if contraction not in ("euclidean", "minkowski"):
+        raise ValueError(f"unknown drag contraction {contraction!r}")
+    return contraction == "minkowski"
 
 
 def rk4_steps(ratio: float) -> int:
@@ -104,24 +102,28 @@ def rk4_steps(ratio: float) -> int:
     return max(1, round(ratio))
 
 
-def _rate(y: np.ndarray, fieldref: ScalingField, drag: np.ndarray,
+def _rate(y: np.ndarray, fieldref: ScalingField, minkowski: bool,
           eta: np.ndarray) -> np.ndarray:
     """dy/dtau of stacked states y = (q, v), asking the field for Gamma.
 
-    y is one state (2 dim,) or a batch (N, 2 dim).  A batch hands the field
-    its points as (N, 1, dim) and contracts the drag by stacked matmul, so
-    each row reduces over its coordinates as np.dot does for one state, bit
-    for bit; (N, dim) @ a takes BLAS gemv, whose sums differ.
+    The drag contracts Gamma . v, or (eta Gamma) . v, the force term's own
+    product, so neither contraction multiplies by a weight.  y is one state
+    (2 dim,) or a batch (N, 2 dim).  A batch hands the field its points as
+    (N, 1, dim) and contracts the drag by stacked matmul, so each row
+    reduces over its coordinates as np.dot does for one state, bit for bit;
+    (N, dim) @ a takes BLAS gemv, whose sums differ.
     """
     dim = eta.shape[0]
     q, v = y[..., :dim], y[..., dim:]
     if y.ndim == 1:
         gamma = fieldref.gradient_of(fieldref.theta, q)
-        return np.concatenate((v, -(np.dot(drag * gamma, v)) * v
-                               - eta * gamma))
+        force = eta * gamma
+        c = np.dot(force if minkowski else gamma, v)
+        return np.concatenate((v, -c * v - force))
     gamma = fieldref.gradient_of(fieldref.theta, q[:, None])[:, 0]
-    c = np.matmul((drag * gamma)[:, None], v[:, :, None])[:, 0]
-    return np.concatenate((v, -c * v - eta * gamma), axis=1)
+    force = eta * gamma
+    c = np.matmul((force if minkowski else gamma)[:, None], v[:, :, None])
+    return np.concatenate((v, -c[:, 0] * v - force), axis=1)
 
 
 def _step(y: np.ndarray, h: float, m: Manifold, args) -> np.ndarray:
@@ -176,8 +178,7 @@ def _integrate(y: np.ndarray, fieldref: ScalingField, tau_end: float,
     if not tau_end > 0:
         raise ValueError("tau_end must be positive")
     m = fieldref.manifold
-    args = (fieldref, _drag_weights(fieldref, drag_contraction),
-            m.metric_diagonal)
+    args = (fieldref, _minkowski_drag(drag_contraction), m.metric_diagonal)
     n = rk4_steps(tau_end / h_tau)
     h = tau_end / n
     m.require_inside(y[..., :m.dimension])

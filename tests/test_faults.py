@@ -47,17 +47,19 @@ def _rate_with(drag_sign: float, force_sign: float,
                across_rows: bool = False):
     """geodesics._rate with the drag and force terms scaled by the signs;
     with ``across_rows``, a batch's drag is one sum over all of its rows."""
-    def rate(y, fieldref, drag, eta):
+    def rate(y, fieldref, minkowski, eta):
         dim = eta.shape[0]
         q, v = y[..., :dim], y[..., dim:]
         if y.ndim == 1:
             gamma = fieldref.gradient_of(fieldref.theta, q)
-            c = np.dot(drag * gamma, v)
+            dg = eta * gamma if minkowski else gamma
+            c = np.dot(dg, v)
         else:
             gamma = fieldref.gradient_of(fieldref.theta, q[:, None])[:, 0]
-            c = np.matmul((drag * gamma)[:, None], v[:, :, None])[:, 0]
+            dg = eta * gamma if minkowski else gamma
+            c = np.matmul(dg[:, None], v[:, :, None])[:, 0]
             if across_rows:
-                c = np.sum(drag * gamma * v)
+                c = np.sum(dg * v)
         accel = -drag_sign * c * v - force_sign * eta * gamma
         return np.concatenate((v, accel), axis=-1)
     return rate
@@ -486,10 +488,11 @@ def test_clean_tree_passes_every_named_check():
 def test_the_unbroken_replacement_is_the_rate():
     field, state, *_ = test_geodesic_pins._trajectories_family()
     y = np.concatenate((state.position, state.velocity))
-    args = (field, np.ones(4), field.manifold.metric_diagonal)
-    for states in (y, np.array([y, 0.5 * y, -y])):
-        assert np.array_equal(_rate_with(1.0, 1.0)(states, *args),
-                              geodesics._rate(states, *args))
+    for minkowski in (False, True):
+        args = (field, minkowski, field.manifold.metric_diagonal)
+        for states in (y, np.array([y, 0.5 * y, -y])):
+            assert np.array_equal(_rate_with(1.0, 1.0)(states, *args),
+                                  geodesics._rate(states, *args))
 
 
 def test_the_swapped_relabel_is_relabel_with_its_levels_swapped():
