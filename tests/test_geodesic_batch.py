@@ -7,9 +7,15 @@ rows stay inside, leave the box at different steps, or lose the margin, and
 every row's table and ``left_domain`` must equal ``integrate_geodesic``'s.
 The runner batches a scenario's geodesic tasks by (tau_end, h_tau,
 drag_contraction) under a row cap; its outputs must not depend on that.
+
+The lone integrations of all 15 cases are pinned by sha256, as
+``test_geodesic_pins.py`` pins the five inside states alone, so the rows
+keep the bits of the single-trajectory path they were recorded from
+(x86-64 Linux, Python 3.11, numpy 2.4).
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -85,6 +91,53 @@ def test_batch_rows_are_their_lone_integrations(name, case):
         assert all(r > margin if case == "leaving" else r < margin
                    for r in reach)
     assert [_same(tr, one) for tr, one in zip(batch, lone)] == [True] * 3
+
+
+LONE_PINS = {
+    ("central-gaussian", "inside"):
+        "56cccd1e35851af354446e67de3b7c14c144ab6378bbe5e3bf361f65e4d1ff85",
+    ("central-gaussian", "leaving"):
+        "cc10f04f45b6385af949123e2008980a830e1b320dfb9920f57498a29e626ffd",
+    ("central-gaussian", "margin"):
+        "2987a7f6f0a48cc06747b06587df3528e1dba1e6793185d43cd919213fd93723",
+    ("radial-polynomial", "inside"):
+        "491ee2de4a2cd3a3f66d1491735c08ff5d76589c255748b216edce3ebb9affbf",
+    ("radial-polynomial", "leaving"):
+        "f2c4c55b875db97fa156dd219e0aa0edc28a2fac86ccf45cd8560095bd89129a",
+    ("radial-polynomial", "margin"):
+        "7ce372d0c5895aac76f88a0afb4447fd48fd24a63fae2241b605357ae1cc4640",
+    ("trajectories-family", "inside"):
+        "593ccfd74df0c601784d05411a7ccfec71f2a89aa6a67bc5137a79fb791468dc",
+    ("trajectories-family", "leaving"):
+        "4100281c7b47fcaf00e76ddfc7a3da7d0a90c6b80f59a0474c22acceee7cf6ef",
+    ("trajectories-family", "margin"):
+        "4a1a8138b7d47050f1c31914f99aed20d7a89c3ad5de80cd1c8f26c8988bb676",
+    ("trajectories-family-central", "inside"):
+        "6993ca7249b8caa249e71314ea15c2ae00f46bc047cd4db574f8f9dd0e89f21a",
+    ("trajectories-family-central", "leaving"):
+        "4100281c7b47fcaf00e76ddfc7a3da7d0a90c6b80f59a0474c22acceee7cf6ef",
+    ("trajectories-family-central", "margin"):
+        "4a1a8138b7d47050f1c31914f99aed20d7a89c3ad5de80cd1c8f26c8988bb676",
+    ("trajectories-family-minkowski-drag", "inside"):
+        "5ff39699b6bde3ae9bec564a56bc6c5c003ea12ab36f9c35942d5a0bb9c39a58",
+    ("trajectories-family-minkowski-drag", "leaving"):
+        "2a14221f4921c618dc7b4b473222357f6cd83436fc59ca0501334de46f2df738",
+    ("trajectories-family-minkowski-drag", "margin"):
+        "ff3727c549ec57b1e8fa20e7675290e08d58b58f9cad5a06283f8af795e97430",
+}
+
+
+@pytest.mark.parametrize("case", ["inside", "leaving", "margin"])
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_lone_integrations_of_every_case_are_pinned(name, case):
+    field, rows, tau_end, h_tau, drag = _case(name, case)
+    h = hashlib.sha256()
+    for s in rows:
+        tr = integrate_geodesic(s, field, tau_end, h_tau, drag)
+        h.update(repr(tr.table.shape).encode())
+        h.update(np.ascontiguousarray(tr.table, dtype="<f8").tobytes())
+        h.update(b"left" if tr.left_domain else b"inside")
+    assert h.hexdigest() == LONE_PINS[name, case]
 
 
 def test_a_batch_that_leaves_entirely_stops_every_row():
