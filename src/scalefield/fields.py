@@ -49,7 +49,7 @@ def coordinate_sum(x: np.ndarray) -> np.ndarray:
     and a single point must: scalar adds may pick another of two NaNs'
     payloads."""
     if x.size <= _FEW_POINTS * x.shape[-1]:
-        return x.sum(axis=-1)
+        return np.add.reduce(x, axis=-1)  # x.sum without its wrapper
     cols = x.T
     out = 0.0 + cols[0]
     for k in range(1, len(cols)):
@@ -146,15 +146,15 @@ class GaussianField(FieldSpec):
         return d if self._mask is None else d * self._mask
 
     def _bump(self, d: np.ndarray) -> np.ndarray:
-        r2 = coordinate_sum(d * d)
-        return self.amplitude * np.exp(-r2 / (2.0 * self._w2))
+        r2 = coordinate_sum(d * d)  # r2 / -y is -r2 / y, one pass fewer
+        return self.amplitude * np.exp(r2 / (-2.0 * self._w2))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self._bump(self._offset(pts))
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         d = self._offset(pts)
-        return self._bump(d)[..., None] * (-d / self._w2)
+        return self._bump(d)[..., None] * (d / -self._w2)
 
     @property
     def is_constant(self) -> bool:
@@ -320,9 +320,11 @@ class CombinationField(FieldSpec):
         return out
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
+        # the +0.0 start turns -0 into +0, as it always has; 1.0 * x is x
         out = np.zeros(pts.shape)
         for c, s in self.terms:
-            out = out + c * analytic_gradient(s, pts)
+            g = analytic_gradient(s, pts)
+            out += g if c == 1.0 else c * g
         return out
 
     @property

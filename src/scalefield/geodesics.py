@@ -11,14 +11,14 @@ both reduce to d2q/dtau2 = 0.
 
 Stepping is classical fourth-order Runge-Kutta on the stacked state (q, v)
 with a fixed step, so halving it shrinks the endpoint error sixteenfold on
-smooth fields.  There is one RK4 loop, over states of shape (..., 2 dim):
-leading shape () for one trajectory (``integrate_geodesic``) and (N,) for a
-batch (``integrate_geodesics``), which takes each RK4 stage in one call for
-all N.  A trajectory's states fill one table of rows [tau | q | v]; one that
-exits the manifold keeps its rows so far, still useful, with `left_domain`
-set.  A batch row whose step exits stops there alone, and that step is
-redone for each other row by itself, so every row of a batch is bit for bit
-its lone integration.
+smooth fields.  There is one RK4 loop, over a batch of N states of shape
+(N, 2 dim) (``integrate_geodesics``), which takes each RK4 stage in one call
+for all N; one trajectory (``integrate_geodesic``) is the batch of one.  A
+trajectory's states fill one table of rows [tau | q | v]; one that exits the
+manifold keeps its rows so far, still useful, with `left_domain` set.  A row
+whose step exits stops there alone, and that step is redone for each other
+row by itself, so every row of a batch is bit for bit its integration as a
+batch of one.
 
 A scenario's geodesic tasks share batches: validation puts the tasks that
 share tau_end, h_tau and drag contraction, and so one step count and step,
@@ -104,58 +104,48 @@ def rk4_steps(ratio: float) -> int:
 
 def _rate(y: np.ndarray, fieldref: ScalingField, minkowski: bool,
           eta: np.ndarray) -> np.ndarray:
-    """dy/dtau of stacked states y = (q, v), asking the field for Gamma.
+    """dy/dtau of the states y, rows (q, v) of shape (N, 2 dim), asking the
+    field for Gamma.
 
     The drag contracts Gamma . v, or (eta Gamma) . v, the force term's own
-    product, so neither contraction multiplies by a weight.  y is one state
-    (2 dim,) or a batch (N, 2 dim).  A batch hands the field its points as
-    (N, 1, dim) and contracts the drag by stacked matmul, so each row
-    reduces over its coordinates as np.dot does for one state, bit for bit;
-    (N, dim) @ a takes BLAS gemv, whose sums differ.
+    product, so neither contraction multiplies by a weight.  The field gets
+    its points as (N, 1, dim) and the drag is contracted by np.vecdot, so
+    each row reduces over its coordinates as np.dot reduces one state, bit
+    for bit; (N, dim) @ a takes BLAS gemv, whose sums differ.
     """
-    dim = eta.shape[0]
-    q, v = y[..., :dim], y[..., dim:]
-    if y.ndim == 1:
-        gamma = fieldref.gradient_of(fieldref.theta, q)
-        force = eta * gamma
-        c = np.dot(force if minkowski else gamma, v)
-        return np.concatenate((v, -c * v - force))
-    gamma = fieldref.gradient_of(fieldref.theta, q[:, None])[:, 0]
+    dim = eta.shape[-1]
+    v = y[:, dim:]
+    gamma = fieldref.gradient_of(fieldref.theta, y[:, None, :dim])[:, 0]
     force = eta * gamma
-    c = np.matmul((force if minkowski else gamma)[:, None], v[:, :, None])
-    return np.concatenate((v, -c[:, 0] * v - force), axis=1)
+    c = np.vecdot(force if minkowski else gamma, v)
+    return np.concatenate((v, -c[:, None] * v - force), axis=1)
 
 
 def _step(y: np.ndarray, h: float, m: Manifold, args) -> np.ndarray:
-    """One RK4 step of y, one state or a batch.  Raises OutOfBounds or
-    BoundaryPoint if a stage point or the end of any row is off the grid,
-    or lacks the margin of central differences.  The first stage's point is
-    y, which passed the previous step's end test or the start's."""
-    dim = m.dimension
+    """One RK4 step of the states y.  Raises OutOfBounds or BoundaryPoint
+    if a stage point or the end of any row is off the grid, or lacks the
+    margin of central differences, which the field tests at each stage.
+    The bounds are tested once, over stage points 2 to 4 and the end; the
+    first stage's point is y, which passed the last step's test or the
+    start's."""
+    z = np.empty((4, *y.shape))  # stage points 2 to 4, then the end
     k1 = _rate(y, *args)
-    z = y + 0.5 * h * k1
-    m.require_inside(z[..., :dim])
-    k2 = _rate(z, *args)
-    z = y + 0.5 * h * k2
-    m.require_inside(z[..., :dim])
-    k3 = _rate(z, *args)
-    z = y + h * k3
-    m.require_inside(z[..., :dim])
-    k4 = _rate(z, *args)
-    y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not m.contains(y[..., :dim]).all():
-        raise OutOfBounds("stepped outside the grid")
+    k2 = _rate(np.add(y, 0.5 * h * k1, out=z[0]), *args)
+    k3 = _rate(np.add(y, 0.5 * h * k2, out=z[1]), *args)
+    k4 = _rate(np.add(y, h * k3, out=z[2]), *args)
+    y = np.add(y, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), out=z[3])
+    m.require_inside(z[..., :m.dimension])
     return y
 
 
 def _step_each(y: np.ndarray, h: float, m: Manifold,
                args) -> Tuple[np.ndarray, np.ndarray]:
-    """Each row of the batch y stepped by itself: the stepped rows that
+    """Each row of the states y stepped by itself: the stepped rows that
     stayed on the domain, and the mask of those rows."""
     stepped, ok = [], np.zeros(len(y), dtype=bool)
-    for i, row in enumerate(y):
+    for i in range(len(y)):
         try:
-            stepped.append(_step(row, h, m, args))
+            stepped.append(_step(y[i:i + 1], h, m, args))
             ok[i] = True
         except (OutOfBounds, BoundaryPoint):
             # central-difference gradients shrink the usable region by
@@ -168,39 +158,39 @@ def _integrate(y: np.ndarray, fieldref: ScalingField, tau_end: float,
                h_tau: float, drag_contraction: str
                ) -> Tuple[np.ndarray, np.ndarray]:
     """The one RK4 loop, from tau = 0 to tau_end with step ~h_tau (exact
-    divisor), over y, one state (2 dim,) or a batch (N, 2 dim).
+    divisor), over the states y, shape (N, 2 dim).
 
-    Returns the table of rows [tau | q | v], shape (..., n + 1, 1 + 2 dim),
-    and the steps each row completed, shape (...).
+    Returns the tables of rows [tau | q | v], shape (N, n + 1, 1 + 2 dim),
+    and the steps each row completed, shape (N,).
     """
     if not h_tau > 0:
         raise ValueError("step must be positive")
     if not tau_end > 0:
         raise ValueError("tau_end must be positive")
     m = fieldref.manifold
-    args = (fieldref, _minkowski_drag(drag_contraction), m.metric_diagonal)
+    # eta as a row (1, dim): numpy multiplies equal shapes faster than it
+    # broadcasts, and a batch of one is that
+    eta = m.metric_diagonal[None]
+    args = (fieldref, _minkowski_drag(drag_contraction), eta)
     n = rk4_steps(tau_end / h_tau)
     h = tau_end / n
-    m.require_inside(y[..., :m.dimension])
-    lead = y.shape[:-1]
-    table = np.empty((*lead, n + 1, 1 + y.shape[-1]))
-    table[..., 0] = h * np.arange(n + 1)
-    table[..., 0, 1:] = y
-    done = np.full(lead, n)
-    live = np.arange(lead[0]) if lead else ...  # the rows still stepping
+    m.require_inside(y[:, :m.dimension])
+    table = np.empty((len(y), n + 1, 1 + y.shape[1]))
+    table[:, :, 0] = h * np.arange(n + 1)
+    table[:, 0, 1:] = y
+    done = np.full(len(y), n)
+    live = slice(None)  # the rows still stepping: all, until one stops
     for k in range(n):
         try:
             y = _step(y, h, m, args)
         except (OutOfBounds, BoundaryPoint):
-            if not lead:
-                done[...] = k
-                break
             y, ok = _step_each(y, h, m, args)
+            live = np.flatnonzero(done == n)
             done[live[~ok]] = k
             live = live[ok]
             if not live.size:
                 break
-        table[..., k + 1, 1:][live] = y
+        table[live, k + 1, 1:] = y
     return table, done
 
 
@@ -229,10 +219,15 @@ def integrate_geodesics(states: Sequence[GeodesicState],
                         ) -> List[Trajectory]:
     """``integrate_geodesic`` of each state, as one batch: each RK4 stage is
     one call for all of them, and each trajectory is bit for bit the one
-    its lone integration gives."""
-    if len(states) == 1:
-        return [integrate_geodesic(states[0], fieldref, tau_end, h_tau,
-                                   drag_contraction)]
+    its lone integration gives.  ValueError if a state's dimension is not
+    the manifold's."""
+    if not states:
+        return []
+    dim = fieldref.manifold.dimension
+    for s in states:
+        if len(s.position) != dim:
+            raise ValueError(f"a state of dimension {len(s.position)} "
+                             f"on a manifold of dimension {dim}")
     y = np.array([np.concatenate((s.position, s.velocity)) for s in states])
     tables, done = _integrate(y, fieldref, tau_end, h_tau, drag_contraction)
     return [_trajectory(t, k) for t, k in zip(tables, done)]
@@ -242,23 +237,22 @@ def integrate_geodesic(state0: GeodesicState, fieldref: ScalingField,
                        tau_end: float, h_tau: float,
                        drag_contraction: str = "euclidean",
                        batch: Optional[GeodesicBatch] = None) -> Trajectory:
-    """Integrate from tau = 0 to tau_end with step ~h_tau (exact divisor).
+    """Integrate from tau = 0 to tau_end with step ~h_tau (exact divisor):
+    the batch of state0 alone.
 
     With ``batch``, a GeodesicBatch holding state0, the first call
     integrates the whole batch with these arguments and each call returns
     state0's trajectory from it.
     """
-    if batch is not None:
-        if id(state0) not in batch.ready:
-            batch.ready = dict(zip(
-                map(id, batch.states),
-                integrate_geodesics(batch.states, fieldref, tau_end, h_tau,
-                                    drag_contraction)))
-        return batch.ready.pop(id(state0))
-    table, done = _integrate(np.concatenate((state0.position,
-                                             state0.velocity)),
-                             fieldref, tau_end, h_tau, drag_contraction)
-    return _trajectory(table, int(done))
+    if batch is None:
+        return integrate_geodesics([state0], fieldref, tau_end, h_tau,
+                                   drag_contraction)[0]
+    if id(state0) not in batch.ready:
+        batch.ready = dict(zip(
+            map(id, batch.states),
+            integrate_geodesics(batch.states, fieldref, tau_end, h_tau,
+                                drag_contraction)))
+    return batch.ready.pop(id(state0))
 
 
 def trajectory_path(trajectory: Trajectory) -> SplinePath:

@@ -48,20 +48,15 @@ def _rate_with(drag_sign: float, force_sign: float,
     """geodesics._rate with the drag and force terms scaled by the signs;
     with ``across_rows``, a batch's drag is one sum over all of its rows."""
     def rate(y, fieldref, minkowski, eta):
-        dim = eta.shape[0]
-        q, v = y[..., :dim], y[..., dim:]
-        if y.ndim == 1:
-            gamma = fieldref.gradient_of(fieldref.theta, q)
-            dg = eta * gamma if minkowski else gamma
-            c = np.dot(dg, v)
-        else:
-            gamma = fieldref.gradient_of(fieldref.theta, q[:, None])[:, 0]
-            dg = eta * gamma if minkowski else gamma
-            c = np.matmul(dg[:, None], v[:, :, None])[:, 0]
-            if across_rows:
-                c = np.sum(dg * v)
+        dim = eta.shape[-1]
+        v = y[:, dim:]
+        gamma = fieldref.gradient_of(fieldref.theta, y[:, None, :dim])[:, 0]
+        dg = eta * gamma if minkowski else gamma
+        c = np.vecdot(dg, v)[:, None]
+        if across_rows:
+            c = np.sum(dg * v)
         accel = -drag_sign * c * v - force_sign * eta * gamma
-        return np.concatenate((v, accel), axis=-1)
+        return np.concatenate((v, accel), axis=1)
     return rate
 
 
@@ -69,18 +64,39 @@ def _step_each_keeping_the_leaving_rows(y, h, m, args):
     """geodesics._step_each with a row whose step leaves kept in the
     batch, at its last state, instead of stopped."""
     stepped = []
-    for row in y:
+    for i in range(len(y)):
         try:
-            stepped.append(geodesics._step(row, h, m, args))
+            stepped.append(geodesics._step(y[i:i + 1], h, m, args))
         except (OutOfBounds, BoundaryPoint):
-            stepped.append(row)
-    return np.array(stepped), np.ones(len(y), dtype=bool)
+            stepped.append(y[i:i + 1])
+    return np.concatenate(stepped), np.ones(len(y), dtype=bool)
 
 
 def _step_each_stopping_every_row(y, h, m, args):
     """geodesics._step_each stopping the whole batch for one leaving row."""
     return y[:0], np.zeros(len(y), dtype=bool)
 
+
+def _step_testing_only_the_end(y, h, m, args):
+    """geodesics._step with its stage points left out of the bounds test:
+    only each row's end must lie on the grid."""
+    k1 = geodesics._rate(y, *args)
+    k2 = geodesics._rate(y + 0.5 * h * k1, *args)
+    k3 = geodesics._rate(y + 0.5 * h * k2, *args)
+    k4 = geodesics._rate(y + h * k3, *args)
+    y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    m.require_inside(y[:, :m.dimension])
+    return y
+
+
+def _combination_gradient_from_its_first_term(self, pts):
+    """CombinationField.gradient summing from its first term, not +0.0."""
+    out = None
+    for c, s in self.terms:
+        g = fields.analytic_gradient(s, pts)
+        g = g if c == 1.0 else c * g
+        out = g if out is None else out + g
+    return out
 
 def _trapezoid_blocks(a, b, n):
     """paths._simpson_blocks with the trapezoid rule's weights."""
@@ -317,6 +333,9 @@ CENTRAL_PIN = partial(test_geodesic_pins.test_geodesic_bits_are_pinned,
                       "trajectories-family-central")
 REPELS = test_geodesics.test_euclidean_drag_repels_on_identity_metric
 KEEPS_SPEED = test_geodesics.test_minkowski_spatial_motion_attracts_and_keeps_speed
+EXITS = test_geodesics.test_exit_gives_truncated_trajectory_not_an_exception
+STAGE_LEAVES = (test_geodesics
+                .test_a_step_whose_stage_point_leaves_stops_though_its_end_is_inside)
 BATCH = {case: tuple(
     partial(test_geodesic_batch.test_batch_rows_are_their_lone_integrations,
             name, case) for name in sorted(test_geodesic_pins.PINS))
@@ -369,18 +388,28 @@ FAULTS = {
     "force term sign flipped": (
         geodesics, "_rate", _rate_with(1.0, -1.0),
         (CRITERION_10, REPELS, KEEPS_SPEED, *PINS)),
-    # a lone state keeps the true drag, so only batches see these three
+    # one trajectory is the batch of one.  Its drag summed across rows is
+    # its own row's sum, bit for bit, and its one leaving row stops either
+    # way, so the first and third of these three turn red only batches of
+    # two or more (all 15 batch cases, the mixed scenario, the seed-11
+    # trajectories pin) and leave the geodesic pins green.  A leaving row
+    # kept stepping also keeps a lone trajectory stepping, which turns red
+    # the exit tests of test_geodesics.py and the lone pins of the leaving
+    # and margin cases as well
     "drag contracted across the batch axis": (
         geodesics, "_rate", _rate_with(1.0, 1.0, across_rows=True),
         (*BATCH["inside"], _batched_scenario, _trajectories_pin)),
     "a stopped batch row that keeps stepping": (
         geodesics, "_step_each", _step_each_keeping_the_leaving_rows,
         (*BATCH["leaving"], *BATCH["margin"], _batched_scenario,
-         test_geodesic_batch.test_a_batch_that_leaves_entirely_stops_every_row)),
+         test_geodesic_batch.test_a_batch_that_leaves_entirely_stops_every_row,
+         EXITS)),
     "one leaving row that stops the whole batch": (
         geodesics, "_step_each", _step_each_stopping_every_row,
         (*BATCH["leaving"], *BATCH["margin"], _batched_scenario,
          test_geodesic_batch.test_a_batch_that_leaves_entirely_stops_every_row)),
+    "bounds tested at each step's end alone": (
+        geodesics, "_step", _step_testing_only_the_end, (STAGE_LEAVES,)),
     "trajectory positions read the velocity columns": (
         geodesics.Trajectory, "positions",
         property(lambda tr: tr.velocities),
@@ -435,6 +464,10 @@ FAULTS = {
         fields.AxisDerivativeField, "value",
         _axis_derivative_along_the_next_axis,
         (*RESIDUALS, *PARTIALS)),
+    "combination gradient summed from its first term, not +0.0": (
+        fields.CombinationField, "gradient",
+        _combination_gradient_from_its_first_term,
+        (test_fields.test_combination_gradient_sums_from_positive_zero,)),
     "combination weights read as 1.0": (
         scenario, "_build_spec", _build_spec_with_unit_weights,
         (test_scenario.test_combination_terms_parse_recursively,)),
@@ -489,8 +522,8 @@ def test_the_unbroken_replacement_is_the_rate():
     field, state, *_ = test_geodesic_pins._trajectories_family()
     y = np.concatenate((state.position, state.velocity))
     for minkowski in (False, True):
-        args = (field, minkowski, field.manifold.metric_diagonal)
-        for states in (y, np.array([y, 0.5 * y, -y])):
+        args = (field, minkowski, field.manifold.metric_diagonal[None])
+        for states in (y[None], np.array([y, 0.5 * y, -y])):
             assert np.array_equal(_rate_with(1.0, 1.0)(states, *args),
                                   geodesics._rate(states, *args))
 

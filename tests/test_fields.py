@@ -130,6 +130,17 @@ def test_radial_polynomial_needs_a_coefficient():
         RadialPolynomial(())
 
 
+def test_combination_gradient_sums_from_positive_zero():
+    # a term's -0.0 comes back +0.0, as the sum starts from +0.0, also when
+    # a weight of 1.0 takes the term's gradient as it is
+    pts = np.array([[0.3, -0.4, 0.5], [-1.0, 0.2, 0.7]])
+    for weight in (1.0, 2.0):
+        spec = CombinationField(((weight, LinearField((-0.0, 1.0, -0.0))),))
+        grad = spec.gradient(pts)
+        assert np.array_equal(grad, [[0.0, weight, 0.0]] * 2)
+        assert not np.signbit(grad).any()
+
+
 def test_connection_factor_along_unit_gradient():
     f = ScalingField(cube(), LinearField((1.0, 0.0, 0.0)))
     ratio = complex(connection_factor(f, np.array([1.0, 0.0, 0.0]), np.zeros(3)))

@@ -13,6 +13,7 @@ from scalefield.geodesics import (
     GeodesicState,
     Trajectory,
     integrate_geodesic,
+    integrate_geodesics,
     rk4_steps,
     trajectory_path,
 )
@@ -78,6 +79,34 @@ def test_bad_steps_rejected():
 def test_mismatched_state_shapes_rejected():
     with pytest.raises(ValueError):
         GeodesicState(np.zeros(3), np.zeros(4))
+
+
+def test_states_are_checked_against_the_manifold_once_per_call():
+    f = ScalingField(BOX3, ConstantField(0.0), ConstantField(0.0))
+    three = GeodesicState(np.zeros(3), np.ones(3))
+    four = GeodesicState(np.zeros(4), np.ones(4))
+    assert integrate_geodesics([], f, tau_end=1.0, h_tau=0.1) == []
+    for states in ([four], [three, four]):
+        with pytest.raises(ValueError,
+                           match="dimension 4 on a manifold of dimension 3"):
+            integrate_geodesics(states, f, tau_end=1.0, h_tau=0.1)
+    with pytest.raises(ValueError, match="dimension 4 on a manifold"):
+        integrate_geodesic(four, f, tau_end=1.0, h_tau=0.1)
+
+
+def test_a_step_whose_stage_point_leaves_stops_though_its_end_is_inside():
+    # one step of h = 0.25 from x0 = 1.9 at speed 1: its second stage point
+    # sits at 1.9 + h/2 = 2.025, past the bound 2, but the pull of
+    # Gamma = (4, 0, 0) brings the end back to x0 = 1.973
+    theta = LinearField((4.0, 0.0, 0.0))
+    s0 = GeodesicState(np.array([1.9, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    wide = ScalingField(Manifold.box([(-2.0, 3.0)] * 3, 11), theta)
+    end = integrate_geodesic(s0, wide, 0.25, 0.25).final.position
+    assert end[0] < 2.0 < 1.9 + 0.25 / 2
+    narrow = ScalingField(Manifold.box([(-2.0, 2.0)] * 3, 9), theta)
+    tr = integrate_geodesic(s0, narrow, 0.25, 0.25)
+    assert tr.left_domain
+    assert len(tr) == 1
 
 
 def test_tau_grid_is_uniform_and_complete():
