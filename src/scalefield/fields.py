@@ -320,7 +320,7 @@ class CombinationField(FieldSpec):
         return out
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        # the +0.0 start turns -0 into +0, as it always has; 1.0 * x is x
+        # the +0.0 start turns -0 into +0; 1.0 * x is x
         out = np.zeros(pts.shape)
         for c, s in self.terms:
             g = analytic_gradient(s, pts)

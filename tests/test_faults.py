@@ -98,6 +98,7 @@ def _combination_gradient_from_its_first_term(self, pts):
         out = g if out is None else out + g
     return out
 
+
 def _trapezoid_blocks(a, b, n):
     """paths._simpson_blocks with the trapezoid rule's weights."""
     w = np.full(n + 1, (b - a) / n)
@@ -388,14 +389,14 @@ FAULTS = {
     "force term sign flipped": (
         geodesics, "_rate", _rate_with(1.0, -1.0),
         (CRITERION_10, REPELS, KEEPS_SPEED, *PINS)),
-    # one trajectory is the batch of one.  Its drag summed across rows is
-    # its own row's sum, bit for bit, and its one leaving row stops either
-    # way, so the first and third of these three turn red only batches of
-    # two or more (all 15 batch cases, the mixed scenario, the seed-11
-    # trajectories pin) and leave the geodesic pins green.  A leaving row
-    # kept stepping also keeps a lone trajectory stepping, which turns red
-    # the exit tests of test_geodesics.py and the lone pins of the leaving
-    # and margin cases as well
+    # one trajectory is the batch of one.  A batch of one sums its drag
+    # across rows as its own row's sum, bit for bit, and stops its one
+    # leaving row either way, so the first and third of these three leave
+    # the geodesic pins green and turn red only batches of two or more:
+    # the first all 15 batch cases, the third the 10 leaving and margin
+    # ones.  A leaving row kept stepping also keeps a lone trajectory
+    # stepping, which turns red the exit tests of test_geodesics.py and
+    # the lone pins of the leaving and margin cases as well
     "drag contracted across the batch axis": (
         geodesics, "_rate", _rate_with(1.0, 1.0, across_rows=True),
         (*BATCH["inside"], _batched_scenario, _trajectories_pin)),
