@@ -49,7 +49,7 @@ def coordinate_sum(x: np.ndarray) -> np.ndarray:
     and a single point must: scalar adds may pick another of two NaNs'
     payloads."""
     if x.size <= _FEW_POINTS * x.shape[-1]:
-        return np.add.reduce(x, axis=-1)  # x.sum without its wrapper
+        return x.sum(axis=-1)
     cols = x.T
     out = 0.0 + cols[0]
     for k in range(1, len(cols)):

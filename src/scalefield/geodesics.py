@@ -219,8 +219,8 @@ def integrate_geodesics(states: Sequence[GeodesicState],
                         ) -> List[Trajectory]:
     """``integrate_geodesic`` of each state, as one batch: each RK4 stage is
     one call for all of them, and each trajectory is bit for bit the one
-    its lone integration gives.  ValueError if a state's dimension is not
-    the manifold's."""
+    its state gives as a batch of one.  ValueError if a state's dimension
+    is not the manifold's."""
     if not states:
         return []
     dim = fieldref.manifold.dimension
