@@ -103,22 +103,22 @@ def rk4_steps(ratio: float) -> int:
 
 
 def _rate(y: np.ndarray, fieldref: ScalingField, minkowski: bool,
-          eta: np.ndarray) -> np.ndarray:
-    """dy/dtau of the states y, rows (q, v) of shape (N, 2 dim), asking the
-    field for Gamma.
+          neg_eta: np.ndarray) -> np.ndarray:
+    """dy/dtau of the states y, shape (N, 1, 2 dim) with rows (q, v).
 
-    The drag contracts Gamma . v, or (eta Gamma) . v, the force term's own
-    product, so neither contraction multiplies by a weight.  The field gets
-    its points as (N, 1, dim) and the drag is contracted by np.vecdot, so
-    each row reduces over its coordinates as np.dot reduces one state, bit
-    for bit; (N, dim) @ a takes BLAS gemv, whose sums differ.
+    The field gets the points as (N, 1, dim), so a linear spec's pts @ a
+    reduces each point as np.dot reduces one, bit for bit, where (N, dim) @ a
+    would take BLAS gemv, whose sums differ; np.vecdot contracts the drag
+    the same way.  The acceleration is the pull -eta Gamma (``neg_eta`` is
+    -eta) less the drag (Gamma . v) v, or ((eta Gamma) . v) v, which
+    contracts the pull negated: no stage multiplies by a weight.
     """
-    dim = eta.shape[-1]
-    v = y[:, dim:]
-    gamma = fieldref.gradient_of(fieldref.theta, y[:, None, :dim])[:, 0]
-    force = eta * gamma
-    c = np.vecdot(force if minkowski else gamma, v)
-    return np.concatenate((v, -c[:, None] * v - force), axis=1)
+    dim = neg_eta.shape[-1]
+    v = y[..., dim:]
+    gamma = fieldref.gradient_of(fieldref.theta, y[..., :dim])
+    pull = neg_eta * gamma
+    c = np.vecdot(-pull if minkowski else gamma, v, keepdims=True)
+    return np.concatenate((v, pull - c * v), axis=-1)
 
 
 def _step(y: np.ndarray, h: float, m: Manifold, args) -> np.ndarray:
@@ -151,14 +151,14 @@ def _step_each(y: np.ndarray, h: float, m: Manifold,
             # central-difference gradients shrink the usable region by
             # their stencil margin; either way the step cannot be completed
             pass
-    return np.array(stepped).reshape(-1, y.shape[1]), ok
+    return np.array(stepped).reshape(-1, *y.shape[1:]), ok
 
 
 def _integrate(y: np.ndarray, fieldref: ScalingField, tau_end: float,
                h_tau: float, drag_contraction: str
                ) -> Tuple[np.ndarray, np.ndarray]:
     """The one RK4 loop, from tau = 0 to tau_end with step ~h_tau (exact
-    divisor), over the states y, shape (N, 2 dim).
+    divisor), over the states y, shape (N, 1, 2 dim).
 
     Returns the tables of rows [tau | q | v], shape (N, n + 1, 1 + 2 dim),
     and the steps each row completed, shape (N,).
@@ -168,16 +168,16 @@ def _integrate(y: np.ndarray, fieldref: ScalingField, tau_end: float,
     if not tau_end > 0:
         raise ValueError("tau_end must be positive")
     m = fieldref.manifold
-    # eta as a row (1, dim): numpy multiplies equal shapes faster than it
-    # broadcasts, and a batch of one is that
-    eta = m.metric_diagonal[None]
-    args = (fieldref, _minkowski_drag(drag_contraction), eta)
+    # -eta shaped as the points: numpy multiplies equal shapes faster than
+    # it broadcasts, and a batch of one has them
+    neg_eta = -m.metric_diagonal.reshape(1, 1, -1)
+    args = (fieldref, _minkowski_drag(drag_contraction), neg_eta)
     n = rk4_steps(tau_end / h_tau)
     h = tau_end / n
-    m.require_inside(y[:, :m.dimension])
-    table = np.empty((len(y), n + 1, 1 + y.shape[1]))
+    m.require_inside(y[..., :m.dimension])
+    table = np.empty((len(y), n + 1, y.shape[-1] + 1))
     table[:, :, 0] = h * np.arange(n + 1)
-    table[:, 0, 1:] = y
+    table[:, 0, 1:] = y[:, 0]
     done = np.full(len(y), n)
     live = slice(None)  # the rows still stepping: all, until one stops
     for k in range(n):
@@ -190,7 +190,7 @@ def _integrate(y: np.ndarray, fieldref: ScalingField, tau_end: float,
             live = live[ok]
             if not live.size:
                 break
-        table[live, k + 1, 1:] = y
+        table[live, k + 1, 1:] = y[:, 0]
     return table, done
 
 
@@ -228,7 +228,8 @@ def integrate_geodesics(states: Sequence[GeodesicState],
         if len(s.position) != dim:
             raise ValueError(f"a state of dimension {len(s.position)} "
                              f"on a manifold of dimension {dim}")
-    y = np.array([np.concatenate((s.position, s.velocity)) for s in states])
+    y = np.array([[np.concatenate((s.position, s.velocity))]
+                  for s in states])
     tables, done = _integrate(y, fieldref, tau_end, h_tau, drag_contraction)
     return [_trajectory(t, k) for t, k in zip(tables, done)]
 

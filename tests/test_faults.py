@@ -47,16 +47,17 @@ def _rate_with(drag_sign: float, force_sign: float,
                across_rows: bool = False):
     """geodesics._rate with the drag and force terms scaled by the signs;
     with ``across_rows``, a batch's drag is one sum over all of its rows."""
-    def rate(y, fieldref, minkowski, eta):
-        dim = eta.shape[-1]
-        v = y[:, dim:]
-        gamma = fieldref.gradient_of(fieldref.theta, y[:, None, :dim])[:, 0]
-        dg = eta * gamma if minkowski else gamma
-        c = np.vecdot(dg, v)[:, None]
+    def rate(y, fieldref, minkowski, neg_eta):
+        dim = neg_eta.shape[-1]
+        v = y[..., dim:]
+        gamma = fieldref.gradient_of(fieldref.theta, y[..., :dim])
+        pull = neg_eta * gamma
+        dg = -pull if minkowski else gamma
+        c = np.vecdot(dg, v, keepdims=True)
         if across_rows:
             c = np.sum(dg * v)
-        accel = -drag_sign * c * v - force_sign * eta * gamma
-        return np.concatenate((v, accel), axis=1)
+        accel = force_sign * pull - drag_sign * c * v
+        return np.concatenate((v, accel), axis=-1)
     return rate
 
 
@@ -85,7 +86,7 @@ def _step_testing_only_the_end(y, h, m, args):
     k3 = geodesics._rate(y + 0.5 * h * k2, *args)
     k4 = geodesics._rate(y + h * k3, *args)
     y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    m.require_inside(y[:, :m.dimension])
+    m.require_inside(y[..., :m.dimension])
     return y
 
 
@@ -523,8 +524,8 @@ def test_the_unbroken_replacement_is_the_rate():
     field, state, *_ = test_geodesic_pins._trajectories_family()
     y = np.concatenate((state.position, state.velocity))
     for minkowski in (False, True):
-        args = (field, minkowski, field.manifold.metric_diagonal[None])
-        for states in (y[None], np.array([y, 0.5 * y, -y])):
+        args = (field, minkowski, -field.manifold.metric_diagonal[None, None])
+        for states in (y[None, None], np.array([y, 0.5 * y, -y])[:, None]):
             assert np.array_equal(_rate_with(1.0, 1.0)(states, *args),
                                   geodesics._rate(states, *args))
 
