@@ -146,9 +146,8 @@ class GaussianField(FieldSpec):
         return d if self._mask is None else d * self._mask
 
     def _bump(self, d: np.ndarray) -> np.ndarray:
-        r2 = coordinate_sum(d * d)
-        r2 /= -2.0 * self._w2  # -r2 / y bit for bit, in place
-        return self.amplitude * np.exp(r2)
+        r2 = coordinate_sum(d * d)  # r2 / -y is -r2 / y, one pass fewer
+        return self.amplitude * np.exp(r2 / (-2.0 * self._w2))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self._bump(self._offset(pts))
