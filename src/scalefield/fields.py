@@ -7,15 +7,16 @@ exposes the quantities everything downstream consumes: f itself, the real
 and imaginary connection components (Gamma, Delta) = (grad theta, grad phi),
 and ``connection_factor``, the one f(y)/f(x) that outcomes and packets use.
 How to differentiate is the scaling field's decision alone: ``gradient_of``
-and the one-axis ``partial_of`` are analytic or central by its mode, and
-every finite difference, of theta, phi, a transform's alpha or a matter
-field psi, is its ``differences`` of a function of points.
+is analytic or central by its mode, and every finite difference, of theta,
+phi, a transform's alpha or a matter field psi, is its ``differences`` of a
+function of points.
 A spec's values are read only through ``evaluate`` and its analytic
 gradient only through ``analytic_gradient``.  Inside a
 ``shared_evaluation`` block, which the gauge residual opens for each call,
-these two and the shifted arrays of central differences (``_stencil``)
-keep what they compute in one table, so each is computed once per (spec,
-points) or (points, axis, step) until the block ends.
+these two, a central ``gradient_of`` and the shifted arrays of central
+differences (``_stencil``) keep what they compute in one table, so each is
+computed once per (spec, points) or (points, axis, step) until the block
+ends.
 The connection-modified derivative lives in ``gauge``: without a gauge field
 it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
@@ -407,9 +408,9 @@ def _stencil(pts: np.ndarray, axis: int, h: float
 
 @dataclass(frozen=True)
 class AxisDerivativeField(FieldSpec):
-    """The scalar field x -> d(base)/dx_axis, taken by ``field`` as it takes
-    every derivative (``ScalingField.partial_of``).  Used to carry gradient
-    terms of gauge transforms as evaluable fields.
+    """The scalar field x -> d(base)/dx_axis, column ``axis`` of ``field``'s
+    ``gradient_of``.  Used to carry gradient terms of gauge transforms as
+    evaluable fields.
     """
 
     base: FieldSpec
@@ -418,7 +419,7 @@ class AxisDerivativeField(FieldSpec):
     has_analytic_gradient = False
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return self.field.partial_of(self.base, self.axis, pts)
+        return self.field.gradient_of(self.base, pts)[..., self.axis]
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ScenarioValidationError(
@@ -428,6 +429,9 @@ class AxisDerivativeField(FieldSpec):
     @property
     def is_constant(self) -> bool:
         return self.base.is_constant
+
+
+GRADIENT_MODES = ("analytic", "central")
 
 
 @dataclass(frozen=True)
@@ -446,7 +450,7 @@ class ScalingField:
     gradient_step: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.gradient_mode not in ("analytic", "central"):
+        if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
         for name, spec in (("theta", self.theta), ("phi", self.phi)):
             if not self.differentiates(spec):
@@ -499,19 +503,18 @@ class ScalingField:
         return out
 
     def gradient_of(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
-        """Gradient of spec at in-grid points, analytic or central by mode."""
+        """Gradient of spec at in-grid points, analytic or central by mode.
+        Inside a share it is computed once per (spec, points), and a central
+        one once per step, for every field that asks; callers must not write
+        into it."""
         if self.gradient_mode == "analytic":
             return analytic_gradient(spec, pts)
-        return self.differences(partial(evaluate, spec), pts,
-                                range(self.manifold.dimension))
-
-    def partial_of(self, spec: FieldSpec, axis: int,
-                   pts: np.ndarray) -> np.ndarray:
-        """d spec/dx_axis at in-grid points, analytic or central by mode;
-        the other axes are not differenced."""
-        if self.gradient_mode == "analytic":
-            return analytic_gradient(spec, pts)[..., axis]
-        return self.differences(partial(evaluate, spec), pts, (axis,))[..., 0]
+        args = (partial(evaluate, spec), pts, range(self.manifold.dimension))
+        share = _SHARE.get()
+        if share is None:
+            return self.differences(*args)
+        return _once(share, ("central", id(spec), id(pts), self.gradient_step),
+                     self.differences, *args)
 
     def gamma_delta(self, x) -> Tuple[np.ndarray, np.ndarray]:
         pts = self.manifold.require_inside(x)

@@ -11,18 +11,18 @@ semantics coexist:
   parallel-transform: the *value* of the reference outcome is pushed
     through the connection, picking up the factor f(target)/f(source), and
     the transported value is held against the target's value.  The report
-    carries the ratio, the residual mismatch factor and, as a cross-check
-    of the ratio, f(target)/f(source) from the two field values.
+    carries the ratio, which is ``connection_factor``, the transported value
+    and the residual mismatch factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Dict, Optional
 
 import numpy as np
 
-from .fields import ScalingField, connection_factor, eval_f
+from .fields import ScalingField, connection_factor
 from .structures import BaseNumber
 
 COMPARISON_MODES = ("physical-transmission", "parallel-transform")
@@ -48,7 +48,12 @@ class ComparisonReport:
     transported: Optional[complex] = None
     mismatch_factor: Optional[complex] = None
     values_match: Optional[bool] = None
-    field_ratio_check: Optional[complex] = None
+
+    def results(self) -> Dict[str, object]:
+        """What the comparison reports, by field name: every field but the
+        mode, which the comparison was asked for."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "mode"}
 
 
 def numbers_equal(a: BaseNumber, b: BaseNumber) -> bool:
@@ -84,6 +89,4 @@ def compare_outcomes(reference: Outcome, target: Outcome,
         transported=transported,
         mismatch_factor=mismatch,
         values_match=(transported == t_value),
-        field_ratio_check=complex(eval_f(fieldref, target.location)
-                                  / eval_f(fieldref, reference.location)),
     )

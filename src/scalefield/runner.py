@@ -182,15 +182,7 @@ def _run_compare(p, report, rt: RuntimeScenario, seed: Optional[int]):
               "transported_im", "mismatch_re", "mismatch_im", "values_match")
     rows = [(report.mode, report.equal, *ratio, *transported, *mismatch,
              report.values_match)]
-    results = {
-        "equal": report.equal,
-        "ratio": report.ratio,
-        "transported": report.transported,
-        "mismatch_factor": report.mismatch_factor,
-        "values_match": report.values_match,
-        "field_ratio_check": report.field_ratio_check,
-    }
-    return header, rows, results
+    return header, rows, report.results()
 
 
 _HANDLERS = {
@@ -306,7 +298,7 @@ def run_scenario(path: str, out: Optional[str] = None,
         "status": "ok" if all_ok else "failed",
         "seed": run_seed,
         "manifold": _manifold_summary(rt.manifold),
-        "gradient_mode": rt.field.gradient_mode,
+        "gradient_mode": scenario.fields["gradient_mode"],
         "tasks": entries,
     }
     try:

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .exact import parse_fraction
 from .fields import (
+    GRADIENT_MODES,
     CombinationField,
     ConstantField,
     FieldSpec,
@@ -54,7 +55,7 @@ from .fields import (
 from .gauge import GaugeConfig, GaugeTransform, apply_transform
 from .geodesics import GeodesicBatch, GeodesicState, rk4_steps
 from .manifold import Manifold
-from .outcomes import ComparisonReport, Outcome, compare_outcomes
+from .outcomes import COMPARISON_MODES, ComparisonReport, Outcome, compare_outcomes
 from .packets import check_gaussian_packet, slice_time
 from .paths import PolylinePath, SegmentPath, simpson_pieces
 from .structures import KINDS, BaseNumber, structure
@@ -281,7 +282,7 @@ def _parse_fields(node: Any, path: str, dim: int) -> Dict[str, Any]:
     return _keyed(node, path, {
         "theta": (spec, REQUIRED),
         "phi": (spec, {"family": "constant", "constant": 0.0}),
-        "gradient_mode": (_one_of("analytic", "central"), "analytic"),
+        "gradient_mode": (_one_of(*GRADIENT_MODES), "analytic"),
         "gradient_step": (_number, None),
     })
 
@@ -409,9 +410,7 @@ def _report(p: Dict[str, Any], rt: "RuntimeScenario") -> ComparisonReport:
     with np.errstate(all="ignore"):
         report = compare_outcomes(*pair, rt.field, mode=p["mode"])
     # in the order the run names the first non-finite result
-    for name in ("field_ratio_check", "mismatch_factor", "ratio",
-                 "transported"):
-        value = getattr(report, name)
+    for name, value in sorted(report.results().items()):
         if value is not None and not np.isfinite(value):
             raise ValueError(f"{name} is not finite: {value}")
     return report
@@ -462,8 +461,7 @@ TASKS: Dict[str, TaskType] = {
     "compare": TaskType(lambda dim: {
         "reference": (partial(_parse_outcome, dim=dim), REQUIRED),
         "target": (partial(_parse_outcome, dim=dim), REQUIRED),
-        "mode": (_one_of("physical-transmission", "parallel-transform"),
-                 "physical-transmission")},
+        "mode": (_one_of(*COMPARISON_MODES), "physical-transmission")},
         _report),
 }
 _TASK_KEYS = {name: row.keys for name, row in TASKS.items()}

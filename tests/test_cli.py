@@ -99,8 +99,49 @@ def test_demo_summary_headline_numbers(tmp_path):
     assert tasks[4]["results"]["max_residual"] < 1e-10
     ratio = tasks[5]["results"]["ratio"]
     assert ratio[0] == pytest.approx(math.e, rel=1e-12) and ratio[1] == 0.0
-    assert tasks[5]["results"]["field_ratio_check"] == ratio
     assert tasks[5]["results"]["values_match"] is False
+    assert sorted(tasks[5]["results"]) == [
+        "equal", "mismatch_factor", "ratio", "transported", "values_match"]
+
+
+def _csv_cells(path):
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+@pytest.mark.parametrize("c", [0.7, -3.0, 40.0, 800.0, -800.0])
+def test_demo_with_theta_shifted_by_a_constant_runs_as_the_demo(tmp_path, c):
+    # the paper: the scaling field does not affect comparisons of outputs
+    # with one another.  theta + c leaves Gamma, every f(y)/f(x) and every
+    # verdict alone; only values that add c to theta and subtract it again
+    # at points off the nodes round differently, by a few ulp
+    base, out = tmp_path / "base", tmp_path / "shifted"
+    assert main(["run", str(DEMO), "--out", str(base)]) == 0
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc["fields"]["theta"] = {"family": "combination", "terms": [
+        {"weight": 1.0, "spec": doc["fields"]["theta"]},
+        {"weight": 1.0, "spec": {"family": "constant", "constant": c}}]}
+    path = write(tmp_path, doc)
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(out)]) == 0
+    for name in ("00_axioms.csv", "02_geodesic.csv", "04_gauge-check.csv",
+                 "05_compare.csv"):
+        assert (out / name).read_bytes() == (base / name).read_bytes(), name
+    for name in ("01_pathlen.csv", "03_wavepacket.csv"):
+        (want_header, want), (header, got) = map(
+            _csv_cells, (base / name, out / name))
+        assert header == want_header
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    want, got = summary_of(base), summary_of(out)
+    assert got["status"] == want["status"] == "ok"
+    for w, g in zip(want["tasks"], got["tasks"], strict=True):
+        assert g["status"] == w["status"], w["type"]
+        if w["type"] == "pathlen":
+            np.testing.assert_array_max_ulp(g["results"].pop("scaled_length"),
+                                            w["results"].pop("scaled_length"),
+                                            maxulp=4)
+        assert g["results"] == w["results"], w["type"]
 
 
 def test_demo_gauge_check_covers_strided_interior_points(tmp_path):
@@ -309,8 +350,8 @@ def test_compare_payload_beyond_the_float_range_is_a_validation_error(
      "mismatch_factor"),
     # the transported value over a subnormal target overflows
     (3.0, ("rational", "1"), ("rational", "1e-320"), "mismatch_factor"),
-    # f(target) = e^800 overflows; the exponent-difference ratio does too
-    (800.0, ("rational", "1"), ("rational", "1"), "field_ratio_check"),
+    # the ratio e^800 overflows, and so do the values it multiplies
+    (800.0, ("rational", "1"), ("rational", "1"), "mismatch_factor"),
 ], ids=["transported", "subnormal-target", "field-value"])
 def test_compare_whose_report_would_not_be_finite_is_a_validation_error(
         tmp_path, capsys, theta, reference, target, name):

@@ -27,13 +27,14 @@ import test_geodesic_batch
 import test_geodesic_pins
 import test_geodesics
 import test_golden
+import test_outcomes
 import test_packets
 import test_paths
 import test_scenario
 import test_scripts
 import test_structures
-from scalefield import csvio, exact, fields, gauge, geodesics, packets, paths
-from scalefield import scenario, structures
+from scalefield import csvio, exact, fields, gauge, geodesics, outcomes
+from scalefield import packets, paths, scenario, structures
 from scalefield.errors import BoundaryPoint, NotRepresentable, OutOfBounds
 from scalefield.exact import as_exact
 from scalefield.structures import (
@@ -139,9 +140,24 @@ def _differences_over_h_for(specs: bool):
 
 
 def _axis_derivative_along_the_next_axis(self, pts):
-    """AxisDerivativeField.value differentiating along (axis + 1) % dim."""
-    return self.field.partial_of(self.base, (self.axis + 1) % pts.shape[-1],
-                                 pts)
+    """AxisDerivativeField.value taking column (axis + 1) % dim of the
+    gradient."""
+    return self.field.gradient_of(self.base, pts)[
+        ..., (self.axis + 1) % pts.shape[-1]]
+
+
+def _gradient_of_keyed_by_spec(self, spec, pts):
+    """ScalingField.gradient_of with the central share keyed by the spec
+    alone, so a spec's gradient at the first point array it meets serves
+    every later array."""
+    if self.gradient_mode == "analytic":
+        return fields.analytic_gradient(spec, pts)
+    args = (partial(fields.evaluate, spec), pts,
+            range(self.manifold.dimension))
+    share = fields._SHARE.get()
+    if share is None:
+        return self.differences(*args)
+    return fields._once(share, ("central", id(spec)), self.differences, *args)
 
 
 def _render_block_keyed_by_value(block):
@@ -329,6 +345,7 @@ CRITERION_07 = test_acceptance.test_criterion_07_integrator_and_quadrature_conve
 CRITERION_08 = test_acceptance.test_criterion_08_gauge_residual_vanishes_on_the_full_interior
 CRITERION_09 = test_acceptance.test_criterion_09_central_differences_converge_at_second_order
 CRITERION_10 = test_acceptance.test_criterion_10_geodesic_beats_100_perturbed_rivals
+CRITERION_11 = test_acceptance.test_criterion_11_comparison_verdicts_ignore_the_field
 PINS = tuple(partial(test_geodesic_pins.test_geodesic_bits_are_pinned, name)
              for name in sorted(test_geodesic_pins.PINS))
 CENTRAL_PIN = partial(test_geodesic_pins.test_geodesic_bits_are_pinned,
@@ -423,6 +440,12 @@ FAULTS = {
     "Simpson replaced by the trapezoid rule": (
         paths, "_simpson_blocks", _trapezoid_blocks,
         (CRITERION_06, CRITERION_07)),
+    # outcomes reads f(y)/f(x) from connection_factor alone; the literal
+    # quotient of field values is the tests' reference, not a runtime check
+    "compare ratio conjugated": (
+        outcomes, "connection_factor", _conjugated_factor,
+        (test_outcomes.test_ratio_matches_literal_field_quotient,
+         CRITERION_11, _demo_digests)),
     "packet factor f(w)/f(x0) conjugated": (
         packets, "connection_factor", _conjugated_factor,
         (test_packets.test_scaled_amplitude_is_f_w_over_f_x0_at_every_node,
@@ -455,6 +478,9 @@ FAULTS = {
         fields, "evaluate", _evaluate_keyed_by_spec, SHARED),
     "evaluation share giving the +h array for both shifts": (
         fields, "_stencil", _stencil_with_plus_for_both, SHARED),
+    "central gradient share keyed by the spec alone": (
+        fields.ScalingField, "gradient_of", _gradient_of_keyed_by_spec,
+        (test_gauge.test_residual_takes_each_central_gradient_once,)),
     "analytic gradient taken afresh inside a share": (
         fields, "analytic_gradient", _analytic_gradient_afresh,
         (test_gauge.test_residual_takes_alphas_analytic_gradient_once,)),

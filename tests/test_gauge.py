@@ -416,6 +416,37 @@ def test_residual_takes_alphas_analytic_gradient_once():
             "alpha": 1, "theta": 1, "phi": 1}
 
 
+def test_residual_takes_each_central_gradient_once():
+    # in central mode the photon shift's dim partials of alpha are columns
+    # of one difference of alpha, and both connections take theta's: each
+    # spec is differenced once per call.  Inside one share, a spec met at a
+    # second point array is differenced again
+    leaves, f, cfg, tr, pts = _counted_gauge()
+    differenced = []
+    differences = ScalingField.differences
+
+    def counted(self, fn, at, axes):
+        differenced.append(fn.args[0])
+        return differences(self, fn, at, axes)
+
+    half = pts[::2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScalingField, "differences", counted)
+        for _ in range(2):
+            differenced.clear()
+            invariance_residual(f, cfg, tr, pts)
+            assert {name: sum(s is spec for s in differenced)
+                    for name, spec in leaves.items()} == {
+                "theta": 1, "phi": 1, "alpha": 1, "gamma": 0}
+            assert len(differenced) == 5  # and phi - gamma / g_i, and beta
+        differenced.clear()
+        with shared_evaluation():
+            grads = [f.gradient_of(leaves["alpha"], p)
+                     for p in (pts, half, pts, half)]
+        assert len(differenced) == 2
+    assert np.array_equal(grads[3], f.gradient_of(leaves["alpha"], half))
+
+
 def test_each_accessor_reads_the_shared_evaluation():
     m = spacetime(nodes=9, half=2.0)
     pts = m.interior_grid_points()

@@ -36,7 +36,7 @@ GOLDEN = {
     "05_compare.csv":
         "7705e88a8e4e40b33f47cd2cf842b4cd84506ebd227928269b204d30df3e241f",
     "summary.json":
-        "db86e0347089792d9a0e58743d905fc4b06d22a3d5f7838f80e07430b995b420",
+        "870c9c2d6dae17976fe5324de63801c7117c006d95d09edf6e5af62e3634c7a7",
 }
 
 
@@ -78,7 +78,7 @@ COMPLEX_GOLDEN = {
     "02_compare.csv":
         "f56a0d69c05da2de30ce3846adc6757f9405aa07b2f01709a4d745f26254ecd5",
     "summary.json":
-        "dddef7462970458e30b7872c8dc6649ba4d85fb7b4504af5372e87d3efb1b6fe",
+        "6bc89a70e045f8b9618ed206fd4e8e0ff5fb89474e49a0bc08ba95179ddd87a8",
 }
 
 

@@ -7,7 +7,10 @@ geodesic on analytic theta, a packet, a gauge check and a comparison), a
 scenario with a tabulated phi, and the variational check of a trajectory
 path.  scipy stays a test dependency: this process checks the probe's
 numbers against it.  A last scan checks that no module under ``src/`` uses
-another module's private names.
+another module's private names, and one that the field layer keeps one
+f(y)/f(x) and one choice of derivative: ``eval_f`` is called in
+``fields.py`` alone, and ``gradient_mode`` is read by three ``ScalingField``
+methods alone.
 """
 
 import ast
@@ -124,6 +127,39 @@ def test_no_module_under_src_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name == "scipy" or name.startswith("scipy.")]
     assert found == []
+
+
+def _scoped(node: ast.AST, scope: str = ""):
+    """(dotted name of the innermost enclosing class or def, node) for every
+    node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_one_module_calls_eval_f_and_one_method_chooses_the_derivative():
+    # connection_factor is the one f(y)/f(x) and gradient_of the one code
+    # that picks analytic or central; eval_f stays the tests' reference
+    calls, reads = [], set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Call) and path.name != "fields.py":
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name == "eval_f":
+                    calls.append(f"{path.name}:{node.lineno} {scope}")
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr == "gradient_mode"
+                  and isinstance(node.ctx, ast.Load)):
+                reads.add(f"{path.name} {scope}")
+    assert (calls, reads) == ([], {"fields.py ScalingField.__post_init__",
+                                   "fields.py ScalingField.differentiates",
+                                   "fields.py ScalingField.gradient_of"})
 
 
 def _private(name: str) -> bool:
