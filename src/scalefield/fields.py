@@ -15,8 +15,8 @@ gradient only through ``analytic_gradient``.  Inside a
 ``shared_evaluation`` block, which the gauge residual opens for each call,
 these two, a central ``gradient_of`` and the shifted arrays of central
 differences (``_stencil``) keep what they compute in one table, so each is
-computed once per (spec, points) or (points, axis, step) until the block
-ends.
+computed once per (spec, points), (spec, points, step) or (points, axis,
+step) until the block ends.
 The connection-modified derivative lives in ``gauge``: without a gauge field
 it is ``gauge_covariant_derivative`` with g_r = g_i = 1 and a zero photon.
 """
