@@ -16,6 +16,7 @@ import sys
 import tempfile
 import types
 from pathlib import Path
+from typing import Dict
 
 from scalefield.runner import EXIT_OK, run_scenario
 
@@ -34,19 +35,26 @@ def load_workloads() -> types.ModuleType:
     return module
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def scenario_files(doc: str, tmp: str) -> Dict[str, Path]:
+    """The demo and the workload scenarios for the command line's
+    ``--seed``, written into ``tmp``, by name.  ``doc`` is the calling
+    script's docstring, whose first line describes it in ``--help``."""
+    parser = argparse.ArgumentParser(description=doc.split("\n")[0])
     parser.add_argument("--seed", type=int, default=11,
                         help="workload seed (default 11)")
     args = parser.parse_args()
     workloads = load_workloads()
+    scenarios = {"demo": DEMO}
+    for name in workloads.WORKLOADS:
+        scenarios[name] = Path(tmp) / f"{name}.json"
+        workloads.write(name, args.seed, str(scenarios[name]))
+    return scenarios
+
+
+def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        scenarios = {"demo": DEMO}
-        for name in workloads.WORKLOADS:
-            scenarios[name] = Path(tmp) / f"{name}.json"
-            workloads.write(name, args.seed, str(scenarios[name]))
-        for name, path in scenarios.items():
+        for name, path in scenario_files(__doc__, tmp).items():
             out = Path(tmp) / f"{name}_out"
             code = run_scenario(str(path), out=str(out))
             if code != EXIT_OK:

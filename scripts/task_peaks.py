@@ -10,15 +10,13 @@ the CSV rendered after it are left out.
     python3 scripts/task_peaks.py [--seed N]
 """
 
-import argparse
 import sys
 import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
-from output_digests import DEMO, load_workloads
+from output_digests import scenario_files
 from scalefield import runner
 from scalefield.errors import ScaleFieldError
 
@@ -35,18 +33,9 @@ def handler_peak(task, built, rt, seed) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=11,
-                        help="workload seed (default 11)")
-    args = parser.parse_args()
-    workloads = load_workloads()
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        scenarios = {"demo": DEMO}
-        for name in workloads.WORKLOADS:
-            scenarios[name] = Path(tmp) / f"{name}.json"
-            workloads.write(name, args.seed, str(scenarios[name]))
-        for name, path in scenarios.items():
+        for name, path in scenario_files(__doc__, tmp).items():
             code, rt = runner.load_scenario(str(path))
             if code != runner.EXIT_OK:
                 status = 1

@@ -12,8 +12,8 @@ phi, a transform's alpha or a matter field psi, is its ``differences`` of a
 function of points.
 A spec's values are read only through ``evaluate`` and its analytic
 gradient only through ``analytic_gradient``.  Inside a
-``shared_evaluation`` block, which the gauge residual opens for each call,
-these two, a central ``gradient_of`` and the shifted arrays of central
+``shared_evaluation`` block, which the gauge opens for each call, these
+two, a central ``gradient_of`` and the shifted arrays of central
 differences (``_stencil``) keep what they compute in one table, so each is
 computed once per (spec, points), (spec, points, step) or (points, axis,
 step) until the block ends.
@@ -343,14 +343,15 @@ _SHARE: ContextVar[Optional[Dict[tuple, tuple]]] = ContextVar(
 def shared_evaluation() -> Iterator[None]:
     """Evaluate each spec once per point array inside the block.
 
-    The share ends with the block, also when the block raises, so no value
-    outlives the call that opened it.
+    A block inside another joins its share, which ends with the outer
+    block, also when it raises, so no value outlives the call that opened it.
     """
-    token = _SHARE.set({})
+    token = None if _SHARE.get() is not None else _SHARE.set({})
     try:
         yield
     finally:
-        _SHARE.reset(token)
+        if token is not None:
+            _SHARE.reset(token)
 
 
 def _once(share: Dict[tuple, tuple], key: tuple, compute: Callable,

@@ -75,11 +75,14 @@ def _check_dim(cfg: GaugeConfig, fieldref: ScalingField) -> None:
 def gauge_connection(fieldref: ScalingField, cfg: GaugeConfig, x) -> np.ndarray:
     """g_r Gamma + i g_i Delta + i h_i B as a complex covector at x.
 
-    ``gamma_delta`` checks the bounds before anything is evaluated."""
+    ``gamma_delta`` checks the bounds before anything is evaluated.  The
+    terms share their values, as the dim photon shifts share d alpha."""
     _check_dim(cfg, fieldref)
     pts = fieldref.manifold.as_points(x)
-    gamma, delta = fieldref.gamma_delta(pts)
-    return cfg.g_r * gamma + 1j * (cfg.g_i * delta + cfg.h_i * cfg.photon_at(pts))
+    with shared_evaluation():
+        gamma, delta = fieldref.gamma_delta(pts)
+        photon = cfg.photon_at(pts)
+    return cfg.g_r * gamma + 1j * (cfg.g_i * delta + cfg.h_i * photon)
 
 
 def gauge_covariant_derivative(psi: Callable[[np.ndarray], np.ndarray],
@@ -92,10 +95,19 @@ def gauge_covariant_derivative(psi: Callable[[np.ndarray], np.ndarray],
     g_r = g_i = 1 with a zero photon gives the derivative without a gauge
     field, d_mu psi + (Gamma_mu + i Delta_mu) psi.
     """
-    _check_dim(cfg, fieldref)
     pts = fieldref.manifold.require_inside(x)
     dpsi = fieldref.differences(psi, pts, range(fieldref.manifold.dimension))
     return dpsi + gauge_connection(fieldref, cfg, pts) * psi(pts)[..., None]
+
+
+def _shifted(base: FieldSpec, coupling: float, term: FieldSpec,
+             refusal: str) -> FieldSpec:
+    """base - term / coupling, or base itself when term is constant."""
+    if term.is_constant:
+        return base
+    if coupling == 0:
+        raise ZeroCoupling(refusal)
+    return CombinationField(((1.0, base), (-1.0 / coupling, term)))
 
 
 def apply_transform(fieldref: ScalingField, cfg: GaugeConfig,
@@ -105,28 +117,12 @@ def apply_transform(fieldref: ScalingField, cfg: GaugeConfig,
     phi -> phi - gamma/g_i (so Delta -> Delta - (1/g_i) d gamma), Gamma fixed.
     """
     _check_dim(cfg, fieldref)
-    if transform.gamma.is_constant:
-        new_phi = fieldref.phi
-    else:
-        if cfg.g_i == 0:
-            raise ZeroCoupling("gamma transform needs a nonzero g_i")
-        new_phi = CombinationField(
-            ((1.0, fieldref.phi), (-1.0 / cfg.g_i, transform.gamma)))
-
-    if transform.alpha.is_constant:
-        new_photon = cfg.photon
-    else:
-        if cfg.h_i == 0:
-            raise ZeroCoupling("alpha transform needs a nonzero h_i")
-        new_photon = tuple(
-            CombinationField((
-                (1.0, b),
-                (-1.0 / cfg.h_i,
-                 AxisDerivativeField(transform.alpha, mu, fieldref)),
-            ))
-            for mu, b in enumerate(cfg.photon)
-        )
-
+    new_phi = _shifted(fieldref.phi, cfg.g_i, transform.gamma,
+                       "gamma transform needs a nonzero g_i")
+    new_photon = tuple(
+        _shifted(b, cfg.h_i, AxisDerivativeField(transform.alpha, mu, fieldref),
+                 "alpha transform needs a nonzero h_i")
+        for mu, b in enumerate(cfg.photon))
     new_cfg = GaugeConfig(cfg.g_r, cfg.g_i, cfg.h_i, new_photon)
     return replace(fieldref, phi=new_phi), new_cfg
 
@@ -140,7 +136,6 @@ def invariance_residual(fieldref: ScalingField, cfg: GaugeConfig,
     residual of the size of the corrupted term.  The three terms below
     share one evaluation of each spec per stencil point.
     """
-    _check_dim(cfg, fieldref)
     pts = fieldref.manifold.require_inside(x)
     new_field, new_cfg = apply_transform(fieldref, cfg, transform)
     with shared_evaluation():

@@ -60,13 +60,19 @@ def numbers_equal(a: BaseNumber, b: BaseNumber) -> bool:
     return a.kind == b.kind and a.payload == b.payload
 
 
+def _value(side: str, outcome: Outcome) -> complex:
+    try:
+        return complex(outcome.number.payload)
+    except OverflowError:
+        raise ValueError(f"{side} payload is beyond the float range")
+
+
 def compare_outcomes(reference: Outcome, target: Outcome,
                      fieldref: ScalingField,
                      mode: str = "physical-transmission") -> ComparisonReport:
-    """Compare the reference outcome against the target one.
-
-    Both locations must lie on the field's manifold.  See the module
-    docstring for what each mode reports.
+    """Compare the reference outcome against the target one, as the module
+    docstring says.  Both locations must lie on the field's manifold, and
+    a parallel transform's payloads in the float range.
     """
     if mode not in COMPARISON_MODES:
         raise ValueError(f"mode must be one of {COMPARISON_MODES}")
@@ -76,10 +82,9 @@ def compare_outcomes(reference: Outcome, target: Outcome,
     if mode == "physical-transmission":
         return ComparisonReport(mode=mode, equal=equal)
 
+    r_value, t_value = _value("reference", reference), _value("target", target)
     ratio = complex(connection_factor(fieldref, target.location,
                                       reference.location))
-    r_value = complex(reference.number.payload)
-    t_value = complex(target.number.payload)
     transported = ratio * r_value
     mismatch = transported / t_value if t_value != 0 else None
     return ComparisonReport(

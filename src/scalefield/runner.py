@@ -9,7 +9,8 @@ absolute paths, sorted JSON keys, fixed float formatting.
 Handlers run the inputs that ``validate_scenario`` built for each task, so
 every precondition is checked once, before any task runs.
 
-A task whose results hold inf or NaN fails and names the first such key;
+A task whose results hold inf or NaN fails and names the first such key
+in the order the task reports them (``scenario.first_non_finite``);
 numpy's floating-point warnings inside a task are silenced, so the failure
 entry is the one report of an overflow.  summary.json is strict JSON.
 
@@ -50,6 +51,7 @@ from .scenario import (
     SIGNATURES,
     RuntimeScenario,
     Scenario,
+    first_non_finite,
     parse_scenario,
     validate_scenario,
 )
@@ -77,15 +79,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-def _finite(value: Any) -> bool:
-    """False if a ``_jsonable`` value is or holds inf or NaN."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, list):
-        return all(_finite(v) for v in value)
-    return True
 
 
 def _complex_cells(z: Optional[complex]) -> Tuple[Optional[float], Optional[float]]:
@@ -142,7 +135,7 @@ def _run_wavepacket(p, time_slice, rt: RuntimeScenario, seed: Optional[int]):
     psi = gaussian_packet(rt.manifold, p["center"], p["width"],
                           momentum=p["momentum"], time_slice=time_slice)
     scaled = scale_wave_packet(psi, rt.field, np.array(p["x0"]))
-    spatial = psi.points()[..., list(rt.manifold.spatial_axes)].reshape(-1, 3)
+    spatial = rt.manifold.grid_points(rt.manifold.spatial_axes).reshape(-1, 3)
     amp = scaled.amplitudes.reshape(-1)
     header = ("w1", "w2", "w3", "re_psi", "im_psi")
     rows = np.column_stack((spatial, amp.real, amp.imag))
@@ -271,11 +264,9 @@ def run_scenario(path: str, out: Optional[str] = None,
             with np.errstate(all="ignore"):
                 header, rows, results = _HANDLERS[task.type](
                     task.params, built, rt, task_seed)
-            results_tree = _jsonable(results)
-            bad = [k for k, v in sorted(results_tree.items())
-                   if not _finite(v)]
-            if bad:
-                raise NonFiniteResult(f"non-finite result {bad[0]}")
+            bad = first_non_finite(results)
+            if bad is not None:
+                raise NonFiniteResult(f"non-finite result {bad}")
             with open_text(os.path.join(out_dir, csv_name)) as fh:
                 render_csv(header, rows, fh)
             ok = results.get("all_passed", True)
@@ -283,7 +274,7 @@ def run_scenario(path: str, out: Optional[str] = None,
             if not ok:
                 entry["error"] = "axiom failures: " + ", ".join(
                     results["failed_axioms"])
-            entry["results"] = results_tree
+            entry["results"] = _jsonable(results)
         except (ScaleFieldError, ValueError, ArithmeticError) as err:
             entry["status"] = "failed"
             entry["error"] = str(err)

@@ -23,6 +23,7 @@ the bounds.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -397,22 +398,26 @@ def _outcome(spec: Dict[str, Any]) -> Outcome:
     return Outcome(np.array(spec["location"]), number)
 
 
+def first_non_finite(results: Dict[str, Any]) -> Optional[str]:
+    """The first key of a task's results, in the order the task reports
+    them, whose value is or holds inf or NaN; None if there is none."""
+    def finite(value: Any) -> bool:
+        if isinstance(value, (list, tuple)):
+            return all(map(finite, value))
+        return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+    return next((k for k, v in results.items() if not finite(v)), None)
+
+
 def _report(p: Dict[str, Any], rt: "RuntimeScenario") -> ComparisonReport:
-    """The report the run renders, computed once; parallel transport needs
-    both values as floats and every value it reports finite."""
+    """The report the run renders, computed once; every value it reports
+    must be finite."""
     pair = (_outcome(p["reference"]), _outcome(p["target"]))
-    if p["mode"] == "parallel-transform":
-        for side, outcome in zip(("reference", "target"), pair):
-            try:
-                complex(outcome.number.payload)
-            except OverflowError:
-                raise ValueError(f"{side} payload is beyond the float range")
     with np.errstate(all="ignore"):
         report = compare_outcomes(*pair, rt.field, mode=p["mode"])
-    # in the order the run names the first non-finite result
-    for name, value in sorted(report.results().items()):
-        if value is not None and not np.isfinite(value):
-            raise ValueError(f"{name} is not finite: {value}")
+    results = report.results()
+    name = first_non_finite(results)
+    if name is not None:
+        raise ValueError(f"{name} is not finite: {results[name]}")
     return report
 
 

@@ -85,6 +85,23 @@ def test_demo_scenario_runs_clean(tmp_path):
                      "05_compare.csv", "summary.json"]
 
 
+def test_verbose_run_reports_each_task_and_writes_the_same_bytes(
+        tmp_path, capsys):
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["run", str(DEMO), "--out", str(quiet)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["run", str(DEMO), "--out", str(loud), "--verbose"]) == 0
+    kinds = [t["type"] for t in
+             json.loads(DEMO.read_text(encoding="utf-8"))["tasks"]]
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"[{i:02d}] {kind}: ok" for i, kind in enumerate(kinds)),
+        f"wrote {len(kinds)} task results to {loud}"]
+    names = sorted(p.name for p in quiet.iterdir())
+    assert names == sorted(p.name for p in loud.iterdir())
+    for name in names:
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes(), name
+
+
 def test_demo_summary_headline_numbers(tmp_path):
     out = str(tmp_path / "run")
     assert main(["run", str(DEMO), "--out", out]) == 0
@@ -344,15 +361,24 @@ def test_compare_payload_beyond_the_float_range_is_a_validation_error(
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
 
 
-@pytest.mark.parametrize("theta, reference, target, name", [
+# (theta's x0 coefficient, reference, target, the value the refusal names):
+# the first value that is not finite in the order the report lists them,
+# ratio, transported, mismatch_factor
+NON_FINITE_COMPARES = {
     # the transported value e^3 * 1e308 overflows
-    (3.0, ("complex", ["1e308", "0"]), ("complex", [1, "1/2"]),
-     "mismatch_factor"),
+    "transported": (3.0, ("complex", ["1e308", "0"]), ("complex", [1, "1/2"]),
+                    "transported"),
     # the transported value over a subnormal target overflows
-    (3.0, ("rational", "1"), ("rational", "1e-320"), "mismatch_factor"),
+    "subnormal-target": (3.0, ("rational", "1"), ("rational", "1e-320"),
+                         "mismatch_factor"),
     # the ratio e^800 overflows, and so do the values it multiplies
-    (800.0, ("rational", "1"), ("rational", "1"), "mismatch_factor"),
-], ids=["transported", "subnormal-target", "field-value"])
+    "field-value": (800.0, ("rational", "1"), ("rational", "1"), "ratio"),
+}
+
+
+@pytest.mark.parametrize("theta, reference, target, name",
+                         list(NON_FINITE_COMPARES.values()),
+                         ids=list(NON_FINITE_COMPARES))
 def test_compare_whose_report_would_not_be_finite_is_a_validation_error(
         tmp_path, capsys, theta, reference, target, name):
     def outcome(location, kind_payload):

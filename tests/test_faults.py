@@ -7,9 +7,12 @@ them all.  The checks are tests of this suite, called directly.
 """
 
 import dataclasses
+import io
 import itertools
 import math
 import tempfile
+import types
+from contextlib import redirect_stderr
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -208,6 +211,39 @@ def _stencil_with_plus_for_both(pts, axis, h):
     share."""
     plus, minus = _stencil(pts, axis, h)
     return (plus, plus) if fields._SHARE.get() is not None else (plus, minus)
+
+
+# the name the replacement body below reads in fields' globals
+_SHARE = fields._SHARE
+
+
+def _shared_evaluation_starting_empty():
+    """fields.shared_evaluation's body starting an empty share also inside
+    an open one."""
+    token = _SHARE.set({})
+    try:
+        yield
+    finally:
+        _SHARE.reset(token)
+
+
+_first_non_finite = scenario.first_non_finite
+
+
+def _first_non_finite_by_sorted_key(results):
+    """scenario.first_non_finite scanning the keys in sorted order."""
+    return _first_non_finite(dict(sorted(results.items())))
+
+
+def _compare_refusal(case):
+    """test_cli's non-finite compare refusal for one of its cases, with a
+    stand-in for capsys that reads the stderr captured here."""
+    err = io.StringIO()
+    capsys = types.SimpleNamespace(
+        readouterr=lambda: types.SimpleNamespace(err=err.getvalue()))
+    with tempfile.TemporaryDirectory() as out, redirect_stderr(err):
+        test_cli.test_compare_whose_report_would_not_be_finite_is_a_validation_error(
+            Path(out), capsys, *test_cli.NON_FINITE_COMPARES[case])
 
 
 _integrate = paths._integrate
@@ -440,6 +476,12 @@ FAULTS = {
     "Simpson replaced by the trapezoid rule": (
         paths, "_simpson_blocks", _trapezoid_blocks,
         (CRITERION_06, CRITERION_07)),
+    # a refusal names the first non-finite value in the report's order;
+    # the subnormal-target case names mismatch_factor in either order
+    "non-finite result named in sorted key order": (
+        scenario, "first_non_finite", _first_non_finite_by_sorted_key,
+        (partial(_compare_refusal, "transported"),
+         partial(_compare_refusal, "field-value"))),
     # outcomes reads f(y)/f(x) from connection_factor alone; the literal
     # quotient of field values is the tests' reference, not a runtime check
     "compare ratio conjugated": (
@@ -481,6 +523,11 @@ FAULTS = {
     "central gradient share keyed by the spec alone": (
         fields.ScalingField, "gradient_of", _gradient_of_keyed_by_spec,
         (test_gauge.test_residual_takes_each_central_gradient_once,)),
+    "nested share starts empty": (
+        fields.shared_evaluation.__wrapped__, "__code__",
+        _shared_evaluation_starting_empty.__code__,
+        (test_gauge.test_a_nested_share_joins_the_open_one,
+         test_gauge.test_residual_takes_each_central_gradient_once)),
     "analytic gradient taken afresh inside a share": (
         fields, "analytic_gradient", _analytic_gradient_afresh,
         (test_gauge.test_residual_takes_alphas_analytic_gradient_once,)),

@@ -415,6 +415,52 @@ def test_manifold_spacing_must_tile():
         Manifold(3, ((0.0, 1.0),) * 3, (0.3, 0.3, 0.3))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Manifold(2, ((0.0, 1.0),) * 2, (0.5, 0.5)),
+     "dimension must be 3 or 4"),
+    (lambda: Manifold(3, ((0.0, 1.0),) * 2, (0.5,) * 3),
+     "one (lo, hi) pair per axis required"),
+    (lambda: Manifold(3, ((0.0, 1.0),) * 3, (0.5,) * 2),
+     "one spacing per axis required"),
+    (lambda: Manifold(3, ((0.0, 1.0), (1.0, 1.0), (0.0, 1.0)), (0.5,) * 3),
+     "empty axis range [1.0, 1.0]"),
+    (lambda: Manifold(3, ((0.0, 1.0),) * 3, (0.5, 0.0, 0.5)),
+     "spacing must be positive"),
+    (lambda: cube(nodes=3).as_points(np.zeros((2, 4))),
+     "points must have 3 components, got shape (2, 4)"),
+], ids=["dimension", "bounds-count", "spacing-count", "empty-range",
+        "zero-spacing", "point-components"])
+def test_manifold_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScalingField(cube(nodes=3), ConstantField(0.0),
+                          gradient_mode="sideways"),
+     "unknown gradient_mode 'sideways'"),
+    (lambda: ScalingField(cube(nodes=3), ConstantField(0.0),
+                          gradient_step=0.0),
+     "gradient step must be positive"),
+    (lambda: ScalingField(cube(nodes=3), ConstantField(0.0),
+                          gradient_step=-0.5),
+     "gradient step must be positive"),
+    (lambda: GaussianField(1.0, (0.0, 0.0, 0.0), 0.0),
+     "width must be positive"),
+    (lambda: GaussianField(1.0, (0.0, 0.0, 0.0), -1.0),
+     "width must be positive"),
+    (lambda: TabulatedField(cube(nodes=3), np.zeros((3, 3, 3))).value(
+        np.zeros((2, 4))),
+     "points must have 3 components, got shape (2, 4)"),
+], ids=["gradient-mode", "zero-step", "negative-step", "zero-width",
+        "negative-width", "tabulated-point-components"])
+def test_field_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_minkowski_metric_on_dim_four():
     m = Manifold.box([(0.0, 1.0)] * 4, 5)
     assert np.array_equal(m.metric_diagonal, [1.0, -1.0, -1.0, -1.0])

@@ -2,6 +2,7 @@
 
 import math
 import re
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -416,12 +417,10 @@ def test_residual_takes_alphas_analytic_gradient_once():
             "alpha": 1, "theta": 1, "phi": 1}
 
 
-def test_residual_takes_each_central_gradient_once():
-    # in central mode the photon shift's dim partials of alpha are columns
-    # of one difference of alpha, and both connections take theta's: each
-    # spec is differenced once per call.  Inside one share, a spec met at a
-    # second point array is differenced again
-    leaves, f, cfg, tr, pts = _counted_gauge()
+@contextmanager
+def counting_differences():
+    """The specs that ScalingField.differences is asked to difference
+    inside the block, in order."""
     differenced = []
     differences = ScalingField.differences
 
@@ -429,9 +428,19 @@ def test_residual_takes_each_central_gradient_once():
         differenced.append(fn.args[0])
         return differences(self, fn, at, axes)
 
-    half = pts[::2]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ScalingField, "differences", counted)
+        yield differenced
+
+
+def test_residual_takes_each_central_gradient_once():
+    # in central mode the photon shift's dim partials of alpha are columns
+    # of one difference of alpha, and both connections take theta's: each
+    # spec is differenced once per call.  Inside one share, a spec met at a
+    # second point array is differenced again
+    leaves, f, cfg, tr, pts = _counted_gauge()
+    half = pts[::2]
+    with counting_differences() as differenced:
         for _ in range(2):
             differenced.clear()
             invariance_residual(f, cfg, tr, pts)
@@ -445,6 +454,33 @@ def test_residual_takes_each_central_gradient_once():
                      for p in (pts, half, pts, half)]
         assert len(differenced) == 2
     assert np.array_equal(grads[3], f.gradient_of(leaves["alpha"], half))
+
+
+def test_a_bare_connection_of_a_transformed_config_differences_alpha_once():
+    # outside a residual call too, the transformed photon's dim partials of
+    # alpha are columns of one central gradient of alpha
+    leaves, f, cfg, tr, pts = _counted_gauge()
+    new_field, new_cfg = apply_transform(f, cfg, tr)
+    with counting_differences() as differenced:
+        gauge_connection(new_field, new_cfg, pts)
+    assert {name: sum(s is spec for s in differenced)
+            for name, spec in leaves.items()} == {
+        "theta": 1, "phi": 0, "alpha": 1, "gamma": 0}
+    assert len(differenced) == 3  # and phi - gamma / g_i
+
+
+def test_a_nested_share_joins_the_open_one():
+    leaves, f, cfg, tr, pts = _counted_gauge()
+    theta = leaves["theta"]
+    with shared_evaluation():
+        f.theta_at(pts)
+        with shared_evaluation():
+            f.theta_at(pts)
+        # the inner block's end leaves the outer share in place
+        f.theta_at(pts)
+        assert theta.shapes == [pts.shape[:-1]]
+    f.theta_at(pts)
+    assert theta.shapes == [pts.shape[:-1]] * 2
 
 
 def test_each_accessor_reads_the_shared_evaluation():
@@ -461,6 +497,24 @@ def test_each_accessor_reads_the_shared_evaluation():
         connection_factor(f, pts, pts)
         f.gamma_delta(pts)
     assert [(s.values, s.gradients) for s in (theta, phi)] == [(1, 1)] * 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, cfg, tr, pts: gauge_connection(f, cfg, pts),
+    lambda f, cfg, tr, pts: gauge_covariant_derivative(
+        lambda x: np.ones(x.shape[:-1], complex), f, cfg, pts),
+    lambda f, cfg, tr, pts: apply_transform(f, cfg, tr),
+    lambda f, cfg, tr, pts: invariance_residual(f, cfg, tr, pts),
+], ids=["connection", "covariant-derivative", "transform", "residual"])
+def test_gauge_refusals(call):
+    m = spacetime()
+    cfg = GaugeConfig(1.0, 0.8, 0.6, constant_photon((0.1, 0.0, -0.2)))
+    tr = GaugeTransform(GaussianField(0.4, (0.0, 0.2, -0.1, 0.3), 1.2),
+                        LinearField((0.2, -0.1, 0.3, 0.1)))
+    with pytest.raises(ValueError) as err:
+        call(make_field(m), cfg, tr, m.interior_grid_points()[:3])
+    assert str(err.value) == ("photon field has 3 components on a "
+                              "4-dimensional manifold")
 
 
 def test_off_grid_points_raise_out_of_bounds_naming_the_point():

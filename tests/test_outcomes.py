@@ -128,3 +128,33 @@ def test_transmission_verdict_ignores_the_field(data):
     t = at(0.5, BaseNumber.rational(t_payload))
     verdicts = {compare_outcomes(r, t, g).equal for g in (f, *FIELDS)}
     assert verdicts == {same}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Outcome(np.zeros((1, 4)), BaseNumber.rational(1)),
+     "location must be a single point"),
+    (lambda: Outcome(np.float64(0.0), BaseNumber.rational(1)),
+     "location must be a single point"),
+    (lambda: compare_outcomes(at(0.0, BaseNumber.rational(1)),
+                              at(1.0, BaseNumber.rational(1)), FIELDS[1],
+                              mode="sideways"),
+     "mode must be one of ('physical-transmission', 'parallel-transform')"),
+    (lambda: compare_outcomes(at(0.0, BaseNumber.rational(10 ** 400)),
+                              at(1.0, BaseNumber.rational(1)), FIELDS[1],
+                              mode="parallel-transform"),
+     "reference payload is beyond the float range"),
+    (lambda: compare_outcomes(at(0.0, BaseNumber.rational(1)),
+                              at(1.0, BaseNumber.complex(1, 10 ** 400)),
+                              FIELDS[1], mode="parallel-transform"),
+     "target payload is beyond the float range"),
+], ids=["location-matrix", "location-scalar", "mode", "reference-payload",
+        "target-payload"])
+def test_outcome_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_physical_transmission_compares_payloads_beyond_the_float_range():
+    big = BaseNumber.rational(10 ** 400)
+    assert compare_outcomes(at(0.0, big), at(1.0, big), FIELDS[1]).equal

@@ -196,3 +196,21 @@ def test_momentum_shift_picks_up_both_gradients():
                      LinearField((0.0, 0.7, 0.0)))
     out = canonical_momentum_shift(np.zeros(3), f, np.array([0.3, 0.1, -0.2]))
     assert out == pytest.approx(np.array([0.4, 0.7j, 0.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: gaussian_packet(m, (0.0, 0.0), 1.0),
+     "center must have one entry per spatial axis"),
+    (lambda m: scale_wave_packet(
+        gaussian_packet(m, (0.0, 0.0, 0.0), 1.0),
+        ScalingField(Manifold.box([(-1.0, 1.0)] * 3, 5), ConstantField(0.0)),
+        np.zeros(3)),
+     "packet and field live on different manifolds"),
+    (lambda m: WavePacket(m, np.ones((3, 3))),
+     "amplitudes shape (3, 3) does not match the spatial grid (3, 3, 3)"),
+], ids=["center-length", "across-manifolds", "amplitude-shape"])
+def test_packet_refusals(build, message):
+    m = Manifold.box([(-1.0, 1.0)] * 3, 3)
+    with pytest.raises(ValueError) as err:
+        build(m)
+    assert str(err.value) == message

@@ -379,3 +379,28 @@ def test_reference_factor_is_exponent_difference(data):
     got = change_reference(1.0, f, frm, to)
     expected = math.exp(float(np.dot(coeffs, frm) - np.dot(coeffs, to)))
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SegmentPath(np.zeros(3), np.zeros(2)),
+     "endpoints must be two points of equal dimension"),
+    (lambda: SegmentPath(np.zeros((2, 3)), np.zeros((2, 3))),
+     "endpoints must be two points of equal dimension"),
+    (lambda: PolylinePath(np.zeros((1, 3))),
+     "need at least two vertices of equal dimension"),
+    (lambda: PolylinePath(np.zeros(3)),
+     "need at least two vertices of equal dimension"),
+    (lambda: SplinePath(np.zeros((1, 3)), np.zeros((1, 3))),
+     "need at least two samples of equal dimension"),
+    (lambda: SplinePath(np.zeros((2, 3)), np.zeros((2, 2))),
+     "need one velocity per sample"),
+    (lambda: PerturbedPath(SegmentPath(np.zeros(3), np.ones(3)),
+                           np.zeros((2, 3)), (1, 2)),
+     "one coefficient column per perturbed axis"),
+], ids=["segment-dimensions", "segment-rank", "polyline-one-vertex",
+        "polyline-rank", "spline-one-sample", "spline-velocities",
+        "perturbed-columns"])
+def test_path_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
