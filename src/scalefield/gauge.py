@@ -75,8 +75,8 @@ def _check_dim(cfg: GaugeConfig, fieldref: ScalingField) -> None:
 def gauge_connection(fieldref: ScalingField, cfg: GaugeConfig, x) -> np.ndarray:
     """g_r Gamma + i g_i Delta + i h_i B as a complex covector at x.
 
-    ``gamma_delta`` checks the bounds before anything is evaluated.  The
-    terms share their values, as the dim photon shifts share d alpha."""
+    ``gamma_delta`` checks the bounds first.  The terms share one evaluation
+    of each spec, so a transformed photon's dim shifts take one d alpha."""
     _check_dim(cfg, fieldref)
     pts = fieldref.manifold.as_points(x)
     with shared_evaluation():

@@ -23,7 +23,6 @@ the bounds.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import sys
@@ -404,7 +403,7 @@ def first_non_finite(results: Dict[str, Any]) -> Optional[str]:
     def finite(value: Any) -> bool:
         if isinstance(value, (list, tuple)):
             return all(map(finite, value))
-        return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+        return not isinstance(value, (float, complex)) or np.isfinite(value)
     return next((k for k, v in results.items() if not finite(v)), None)
 
 

@@ -153,8 +153,3 @@ def test_outcome_refusals(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
-
-
-def test_physical_transmission_compares_payloads_beyond_the_float_range():
-    big = BaseNumber.rational(10 ** 400)
-    assert compare_outcomes(at(0.0, big), at(1.0, big), FIELDS[1]).equal
