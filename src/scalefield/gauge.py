@@ -81,8 +81,8 @@ def gauge_connection(fieldref: ScalingField, cfg: GaugeConfig, x) -> np.ndarray:
     pts = fieldref.manifold.as_points(x)
     with shared_evaluation():
         gamma, delta = fieldref.gamma_delta(pts)
-        photon = cfg.photon_at(pts)
-    return cfg.g_r * gamma + 1j * (cfg.g_i * delta + cfg.h_i * photon)
+        return cfg.g_r * gamma + 1j * (cfg.g_i * delta
+                                       + cfg.h_i * cfg.photon_at(pts))
 
 
 def gauge_covariant_derivative(psi: Callable[[np.ndarray], np.ndarray],
