@@ -37,27 +37,6 @@ from .errors import BoundaryPoint, ScenarioValidationError
 from .manifold import Manifold
 
 
-# up to this many points, one short reduction per row costs less than a
-# pass per column: about 1.2 against 2.5 us for 2 to 32 points of 4
-_FEW_POINTS = 32
-
-
-def coordinate_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)`` bit for bit when the last axis, the coordinates,
-    has fewer than 8 entries: numpy adds those left to right from +0.0, and
-    so does this for an array of many points, a column at a time, which
-    beats one short reduction per row.  A few points keep numpy's own sum,
-    and a single point must: scalar adds may pick another of two NaNs'
-    payloads."""
-    if x.size <= _FEW_POINTS * x.shape[-1]:
-        return x.sum(axis=-1)
-    cols = x.T
-    out = 0.0 + cols[0]
-    for k in range(1, len(cols)):
-        out += cols[k]
-    return out.T
-
-
 class FieldSpec:
     """Interface shared by all scalar field families."""
 
@@ -102,7 +81,9 @@ class LinearField(FieldSpec):
         object.__setattr__(self, "_a", np.array(coefficients))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self._a + self.offset
+        # gemv's bits depend on the points' memory order: take them in
+        # C order, as the rows of coordinate-major points would move them
+        return np.ascontiguousarray(pts) @ self._a + self.offset
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty(pts.shape)
@@ -147,7 +128,7 @@ class GaussianField(FieldSpec):
         return d if self._mask is None else d * self._mask
 
     def _bump(self, d: np.ndarray) -> np.ndarray:
-        r2 = coordinate_sum(d * d)  # r2 / -y is -r2 / y, one pass fewer
+        r2 = (d * d).sum(axis=-1)  # r2 / -y is -r2 / y, one pass fewer
         return self.amplitude * np.exp(r2 / (-2.0 * self._w2))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
@@ -257,7 +238,8 @@ class TabulatedField(FieldSpec):
             raise ValueError(f"points must have {len(self._axes)} "
                              f"components, got shape {pts.shape}")
         dim = len(self._axes)
-        cols = pts.reshape(-1, dim).T.copy()  # each axis one contiguous row
+        # each axis one contiguous row: a view of coordinate-major points
+        cols = np.ascontiguousarray(pts.reshape(-1, dim).T)
         n = cols.shape[1]
         base = 0
         nan = np.zeros(n, dtype=bool)
@@ -387,14 +369,10 @@ def analytic_gradient(spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
 
 def _shifted(pts: np.ndarray, axis: int, h: float
              ) -> Tuple[np.ndarray, np.ndarray]:
-    # pts + h e_axis and pts - h e_axis bit for bit, without broadcasting a
-    # row over the points: x + 0.0 turns -0 into +0 as x + 0 does, and
-    # x - 0.0 is x
-    plus = pts + 0.0
-    plus[..., axis] += h
-    minus = pts.copy()
-    minus[..., axis] -= h
-    return plus, minus
+    # pts +- h e_axis, in the points' own memory order
+    step = np.zeros(pts.shape[-1])
+    step[axis] = h
+    return pts + step, pts - step
 
 
 def _stencil(pts: np.ndarray, axis: int, h: float

@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import OutOfBounds, ZeroLevel
-from .fields import ScalingField, connection_factor, coordinate_sum
-from .manifold import Manifold
+from .fields import ScalingField, connection_factor
+from .manifold import Manifold, coordinate_major
 
 
 def slice_time(manifold: Manifold,
@@ -76,8 +76,9 @@ class WavePacket:
         mesh = self.manifold.grid_points(self.manifold.spatial_axes)
         if self.manifold.dimension == 3:
             return mesh
-        t = np.full(mesh.shape[:-1] + (1,), self.time_slice)
-        return np.concatenate([t, mesh], axis=-1)
+        cols = np.moveaxis(mesh, -1, 0)
+        return coordinate_major([np.full(cols.shape[1:], self.time_slice),
+                                 *cols])
 
     @property
     def cell_volume(self) -> float:
@@ -95,11 +96,11 @@ def packet_norm_squared(psi: WavePacket) -> float:
 
 def _gaussian(d: np.ndarray, width: float, momentum) -> np.ndarray:
     """exp(-|d|^2 / (2 sigma^2)) exp(i k.d) at offsets d from the centre."""
-    amp = np.exp(-coordinate_sum(d * d) / (2.0 * float(width) ** 2))
+    amp = np.exp(-(d * d).sum(axis=-1) / (2.0 * float(width) ** 2))
     amp = amp.astype(complex)
     if momentum is not None:
         k = np.asarray(momentum, dtype=float)
-        amp = amp * np.exp(1j * coordinate_sum(d * k))
+        amp = amp * np.exp(1j * (d * k).sum(axis=-1))
     return amp
 
 

@@ -16,8 +16,9 @@ that fits in one block is summed exactly as in a single pass.  Each block
 is one ``np.dot`` of its weights and its integrand.  The integrand is
 filled in slices of 2**13 nodes, so that a slice's tangents and theta
 weights stay in the L2 cache; it is computed node by node, with eta.v.v
-summed over the coordinates by ``fields.coordinate_sum``, so the slicing
-moves no bit of a block's sum.  One walk sums both the plain and the
+summed over the coordinates left to right, so the slicing moves no bit of
+a block's sum.  A segment's positions and tangents are coordinate-major
+(``manifold.coordinate_major``).  One walk sums both the plain and the
 weighted integrand (``path_lengths``), so a path's two lengths cost one
 evaluation of its tangents.
 """
@@ -30,7 +31,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateParameterization
-from .fields import ScalingField, coordinate_sum
+from .fields import ScalingField
 from .manifold import Manifold
 
 
@@ -69,21 +70,17 @@ class SegmentPath(Path):
             raise ValueError("endpoints must be two points of equal dimension")
 
     def position(self, s: np.ndarray) -> np.ndarray:
-        """start + s (end - start), a coordinate at a time: broadcasting the
-        row end - start over the nodes runs one inner loop of dim entries
-        per node, at several times the cost, for the same bits."""
+        """start + s (end - start), one coordinate after another."""
         s = np.asarray(s, dtype=float)
-        d = self.end - self.start
-        out = np.empty(s.shape + d.shape)
-        for k in range(len(d)):
-            col = out[..., k]
-            np.multiply(s, d[k], out=col)
-            col += self.start[k]
+        out = np.moveaxis(np.multiply.outer(self.end - self.start, s), 0, -1)
+        out += self.start
         return out
 
     def velocity(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        return np.tile(self.end - self.start, s.shape + (1,))
+        d = self.end - self.start
+        return np.moveaxis(np.repeat(d, s.size).reshape(d.shape + s.shape),
+                           0, -1)
 
 
 def _cells(s: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -290,7 +287,7 @@ def _integrate(q: Path, m: Manifold, steps: int,
             for i0 in range(0, len(s), _SLICE_NODES):
                 part = slice(i0, min(i0 + _SLICE_NODES, len(s)))
                 v = q.piece_velocity(s[part], a, b)
-                g[part] = np.sqrt(np.abs(coordinate_sum(eta * v * v)))
+                g[part] = np.sqrt(np.abs((eta * v * v).sum(axis=-1)))
                 max_speed = max(max_speed, float(np.max(np.abs(v))))
                 if weight is not None:
                     gw[part] = g[part] * weight(q.position(s[part]))

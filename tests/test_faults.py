@@ -40,6 +40,7 @@ from scalefield import csvio, exact, fields, gauge, geodesics, outcomes
 from scalefield import packets, paths, scenario, structures
 from scalefield.errors import BoundaryPoint, NotRepresentable, OutOfBounds
 from scalefield.exact import as_exact
+from scalefield.manifold import Manifold
 from scalefield.structures import (
     ScaledStructure,
     ScaledValue,
@@ -321,13 +322,21 @@ def _tabulated_init_calling_every_table_finite(self):
     object.__setattr__(self, "_finite", True)
 
 
-def _coordinate_sum_right_to_left(x):
-    """fields.coordinate_sum adding the columns from the last to the first."""
-    cols = x.T
-    out = 0.0 + cols[-1]
-    for k in range(len(cols) - 2, -1, -1):
-        out += cols[k]
-    return out.T
+def _interior_grid_points_row_major(self, index=None):
+    """Manifold.interior_grid_points with its points stored as C-ordered
+    rows, one after another."""
+    shape = self.interior_shape
+    if index is None:
+        index = np.arange(math.prod(shape))
+    cols = np.unravel_index(index, shape)
+    return np.stack([self.axis_nodes(a)[1:-1][c]
+                     for a, c in enumerate(cols)], axis=-1)
+
+
+def _linear_value_in_the_points_order(self, pts):
+    """LinearField.value taking a . x in whatever memory order the points
+    come, so coordinate-major points move its bits."""
+    return pts @ self._a + self.offset
 
 
 def _integrate_with_a_dot_per_slice(q, m, steps, weight=None):
@@ -339,7 +348,7 @@ def _integrate_with_a_dot_per_slice(q, m, steps, weight=None):
             for i0 in range(0, len(s), paths._SLICE_NODES):
                 part = slice(i0, i0 + paths._SLICE_NODES)
                 v = q.piece_velocity(s[part], a, b)
-                g = np.sqrt(np.abs(fields.coordinate_sum(eta * v * v)))
+                g = np.sqrt(np.abs((eta * v * v).sum(axis=-1)))
                 total += float(np.dot(w[part], g))
                 if weight is not None:
                     weighted += float(np.dot(
@@ -368,6 +377,11 @@ def _batched_scenario():
         (test_geodesic_batch
          .test_batched_scenario_writes_what_each_geodesic_writes_alone(
              Path(out)))
+
+
+def _grids_pin():
+    with tempfile.TemporaryDirectory() as out:
+        test_scripts.test_grids_outputs_of_seed_11_are_pinned(Path(out))
 
 
 def _trajectories_pin():
@@ -423,10 +437,13 @@ ON_NODES_WITH_INF = tuple(
     partial(test_fields.test_tabulated_field_on_nodes_matches_scipy_bit_for_bit,
             dim, "holding +-inf")
     for dim in (3, 4))
-COORDINATE_SUMS = tuple(
-    partial(test_fields.test_coordinate_sum_is_the_last_axis_sum_bit_for_bit,
-            shape)
-    for shape in ((500, 3), (500, 4), (3, 5, 7, 4)))
+INTERIOR_LAYOUT = tuple(
+    partial(test_fields.test_bulk_points_are_coordinate_major, name)
+    for name in ("interior grid points", "interior grid points by index"))
+LINEAR_LAYOUT = tuple(
+    partial(test_fields.test_spec_bits_do_not_depend_on_the_points_layout,
+            "linear", dim)
+    for dim in (3, 4))
 MULTI_BLOCK = tuple(
     partial(test_paths.test_multi_block_path_lengths_are_pinned, name)
     for name in sorted(test_paths.MULTI_BLOCK_PINS))
@@ -558,9 +575,14 @@ FAULTS = {
     "tabulated corners skipped without the finiteness flag": (
         fields.TabulatedField, "__post_init__",
         _tabulated_init_calling_every_table_finite, ON_NODES_WITH_INF),
-    "coordinate sum added right to left": (
-        fields, "coordinate_sum", _coordinate_sum_right_to_left,
-        (*COORDINATE_SUMS, _demo_digests)),
+    "interior points built row-major": (
+        Manifold, "interior_grid_points", _interior_grid_points_row_major,
+        INTERIOR_LAYOUT),
+    # grids evaluates linear photon components and a linear gamma on its
+    # coordinate-major gauge points
+    "linear spec without the row-major copy": (
+        fields.LinearField, "value", _linear_value_in_the_points_order,
+        (*LINEAR_LAYOUT, _grids_pin)),
     "Simpson block summed with one np.dot per slice": (
         paths, "_integrate", _integrate_with_a_dot_per_slice, MULTI_BLOCK),
     "relabel with t and s swapped": (

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from scalefield.gauge import (
 )
 from scalefield.manifold import Manifold
 from scalefield.packets import gaussian_packet, scale_wave_packet
+from scalefield.paths import SegmentPath
 
 
 def cube(lo=-2.0, hi=2.0, nodes=17, dim=3):
@@ -376,9 +378,22 @@ _SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.5,
                       1e308, -1e308, np.inf, -np.inf, np.nan])
 
 
+def _coordinate_major(x):
+    """x's values in the layout of bulk points: the moveaxis view of a
+    C-contiguous (dim, ...) array."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+def _bits(x):
+    """The bit patterns of x, NaN payloads and signs of zero included."""
+    return np.asarray(x).view(np.uint64)
+
+
 @pytest.mark.parametrize("shape", [(3,), (4,), (500, 3), (500, 4),
                                    (3, 5, 7, 4), (2, 1, 4), (33, 3)])
-def test_coordinate_sum_is_the_last_axis_sum_bit_for_bit(shape):
+def test_last_axis_sum_does_not_depend_on_the_points_layout(shape):
+    # numpy adds fewer than 8 coordinates left to right in either layout:
+    # per row over C-ordered rows, a column at a time over coordinate-major
     rng = np.random.default_rng(len(shape) * 10 + shape[-1])
     draws = [rng.choice(_SPECIALS, shape) for _ in range(300 // len(shape))]
     draws += [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300,
@@ -387,11 +402,84 @@ def test_coordinate_sum_is_the_last_axis_sum_bit_for_bit(shape):
     with np.errstate(all="ignore"):
         for x in draws:
             want = x.sum(axis=-1)
-            got = fields.coordinate_sum(x)
+            got = _coordinate_major(x).sum(axis=-1)
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
-            # the bit patterns, NaN payloads and signs of zero included
-            assert np.array_equal(np.asarray(got).view(np.uint64),
-                                  np.asarray(want).view(np.uint64)), x
+            assert np.array_equal(_bits(got), _bits(want)), x
+
+
+def _bulk_producers():
+    """Every maker of bulk point sets, by name, on a 4d box."""
+    m = cube(-1.0, 1.0, 9, dim=4)
+    m3 = cube(-1.0, 1.0, 7)
+    seg = SegmentPath(np.array([-0.5, 0.25, 0.0, 0.5]),
+                      np.array([0.5, -0.75, 0.25, 0.0]))
+    s = np.linspace(0.0, 1.0, 101)
+    return {
+        "interior grid points": m.interior_grid_points,
+        "interior grid points by index":
+            lambda: m.interior_grid_points(np.arange(0, 343, 5)),
+        "grid points": m.grid_points,
+        "spatial grid points": lambda: m.grid_points(m.spatial_axes),
+        "segment positions": lambda: seg.position(s),
+        "segment velocities": lambda: seg.velocity(s),
+        "packet points on a time slice":
+            gaussian_packet(m, (0.0, 0.1, -0.2), 0.5, time_slice=0.25).points,
+        "packet points in 3d": gaussian_packet(m3, (0.0, 0.1, -0.2), 0.5).points,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bulk_producers()))
+def test_bulk_points_are_coordinate_major(name):
+    pts = _bulk_producers()[name]()
+    assert np.moveaxis(pts, -1, 0).flags.c_contiguous
+    dim = pts.shape[-1]
+    for axis in range(dim):
+        step = np.zeros(dim)
+        step[axis] = 0.125
+        for shifted, want in zip(fields._stencil(pts, axis, 0.125),
+                                 (pts + step, pts - step)):
+            assert np.moveaxis(shifted, -1, 0).flags.c_contiguous, axis
+            assert np.array_equal(_bits(shifted), _bits(want)), axis
+
+
+def _specs_of_every_family(m):
+    dim = m.dimension
+    center = tuple(0.1 * (a + 1) for a in range(dim))
+    linear = LinearField(tuple(0.3 - 0.7 * a for a in range(dim)), 0.25)
+    gaussian = GaussianField(1.3, center, 0.8)
+    radial = RadialPolynomial((0.2, -0.4, 0.3, 0.05))
+    wave = np.cos(m.grid_points() @ np.linspace(0.7, -0.4, dim))
+    return {
+        "constant": ConstantField(0.7),
+        "linear": linear,
+        "gaussian": gaussian,
+        "gaussian on axes": GaussianField(-0.6, center, 0.5, axes=(0, 2)),
+        "radial": radial,
+        "tabulated": TabulatedField(m, wave),
+        "combination": CombinationField(
+            ((1.0, linear), (-0.5, gaussian), (2.0, radial))),
+    }
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("family", sorted(_specs_of_every_family(cube())))
+def test_spec_bits_do_not_depend_on_the_points_layout(family, dim):
+    m = cube(nodes=9, dim=dim)
+    spec = _specs_of_every_family(m)[family]
+    central = ScalingField(m, ConstantField(0.0), gradient_mode="central")
+    rng = np.random.default_rng(dim)
+    for shape in ((8192,), (2, 1)):
+        cols = rng.uniform(-1.4, 1.4, (dim, *shape))
+        cols[:, 0] = 0.0
+        rows = np.ascontiguousarray(np.moveaxis(cols, 0, -1))
+        pts = np.moveaxis(cols, 0, -1)
+        calls = {"value": spec.value,
+                 "central gradient_of": partial(central.gradient_of, spec)}
+        if spec.has_analytic_gradient:
+            calls["gradient"] = spec.gradient
+        for name, call in calls.items():
+            want = call(rows)
+            assert np.array_equal(_bits(call(pts)), _bits(want)), (shape, name)
 
 
 def test_tabulated_requires_central_mode():
