@@ -29,8 +29,9 @@ _NODE_TOL = 1e-9
 
 def coordinate_major(columns) -> np.ndarray:
     """Points (..., dim) from their dim coordinate arrays (...), stored one
-    coordinate after another."""
-    return np.moveaxis(np.array(columns, dtype=float), 0, -1)
+    coordinate after another; a C-contiguous float (dim, ...) array is not
+    copied."""
+    return np.moveaxis(np.asarray(columns, dtype=float), 0, -1)
 
 
 @dataclass(frozen=True)

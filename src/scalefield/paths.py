@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateParameterization
 from .fields import ScalingField
-from .manifold import Manifold
+from .manifold import Manifold, coordinate_major
 
 
 class Path:
@@ -72,15 +72,15 @@ class SegmentPath(Path):
     def position(self, s: np.ndarray) -> np.ndarray:
         """start + s (end - start), one coordinate after another."""
         s = np.asarray(s, dtype=float)
-        out = np.moveaxis(np.multiply.outer(self.end - self.start, s), 0, -1)
+        out = coordinate_major(np.multiply.outer(self.end - self.start, s))
         out += self.start
         return out
 
     def velocity(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         d = self.end - self.start
-        return np.moveaxis(np.repeat(d, s.size).reshape(d.shape + s.shape),
-                           0, -1)
+        return coordinate_major(
+            np.repeat(d, s.size).reshape(d.shape + s.shape))
 
 
 def _cells(s: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
