@@ -81,8 +81,8 @@ class LinearField(FieldSpec):
         object.__setattr__(self, "_a", np.array(coefficients))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        # gemv's bits depend on the points' memory order: take them in
-        # C order, as the rows of coordinate-major points would move them
+        # gemv's bits depend on the points' memory order, and coordinate-
+        # major points would move them: take the points in C order
         return np.ascontiguousarray(pts) @ self._a + self.offset
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
@@ -238,7 +238,8 @@ class TabulatedField(FieldSpec):
             raise ValueError(f"points must have {len(self._axes)} "
                              f"components, got shape {pts.shape}")
         dim = len(self._axes)
-        # each axis one contiguous row: a view of coordinate-major points
+        # each axis one contiguous row, with no copy of coordinate-major
+        # points
         cols = np.ascontiguousarray(pts.reshape(-1, dim).T)
         n = cols.shape[1]
         base = 0

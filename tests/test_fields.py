@@ -470,7 +470,7 @@ def test_spec_bits_do_not_depend_on_the_points_layout(family, dim):
     rng = np.random.default_rng(dim)
     for shape in ((8192,), (2, 1)):
         cols = rng.uniform(-1.4, 1.4, (dim, *shape))
-        cols[:, 0] = 0.0
+        cols[:, 0] = 0.0  # the origin, where the radial gradient is a limit
         rows = np.ascontiguousarray(np.moveaxis(cols, 0, -1))
         pts = np.moveaxis(cols, 0, -1)
         calls = {"value": spec.value,
