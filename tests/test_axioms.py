@@ -1,12 +1,14 @@
 """Randomized exact axiom verification, including deliberately broken ops."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalefield import ComplexFraction, axiom_suite, scaled_ops, structure
+from scalefield import (ComplexFraction, axiom_suite, axioms, scaled_ops,
+                        structure)
 
 F = Fraction
 
@@ -25,6 +27,188 @@ def linear_inverse_ops(st_r):
     """Operations whose inverse carries a single t/s factor, not (t/s)^2."""
     w = st_r.ratio
     return replace(scaled_ops(st_r), inv=lambda a: w / a)
+
+
+# Small operands for the pinned reports below: numerators and denominators
+# drawn from [-3, 3], so the pools hold zero, integers and negatives, the
+# values whose text a wrong str of an exact scalar would move.
+PIN_SPAN = 3
+PIN_STRUCTURES = {
+    "natural": structure("natural", 6, 2),
+    "rational": structure("rational", 5, -2),
+    "real": structure("real", F(13, 10), 2),
+    "complex": structure("complex", ComplexFraction(2, 3),
+                         ComplexFraction(1, -1)),
+}
+
+
+def corrupted_ops(st_x, corruption):
+    ops = scaled_ops(st_x)
+    w = st_x.ratio
+    if corruption == "swapped mul factor":
+        return replace(ops, mul=lambda a, b: w * a * b)
+    if corruption == "linear inverse":
+        return linear_inverse_ops(st_x)
+    assert corruption == "flipped lt"
+    return replace(ops, lt=lambda a, b: ops.lt(b, a))
+
+
+# every line of each corrupted table's report at seed 6, 12 samples.  A
+# natural structure has no inverse, and no negative value that a flipped
+# order would misplace; a complex one has no order.
+CORRUPTED_REPORTS = {
+    ("natural", "swapped mul factor"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      FAIL  checks=4 failures=4  [9]",
+        "distributive                 pass  checks=4 failures=0",
+        "order_translation            pass  checks=4 failures=0",
+        "order_mul_positive           pass  checks=4 failures=0",
+    ],
+    ("rational", "swapped mul factor"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      FAIL  checks=4 failures=3  [5/2]",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       FAIL  checks=4 failures=3  [5/6]",
+        "order_translation            pass  checks=4 failures=0",
+        "order_mul_positive           pass  checks=4 failures=0",
+    ],
+    ("rational", "linear inverse"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      pass  checks=4 failures=0",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       FAIL  checks=4 failures=3  [5/6]",
+        "order_translation            pass  checks=4 failures=0",
+        "order_mul_positive           pass  checks=4 failures=0",
+    ],
+    ("rational", "flipped lt"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      pass  checks=4 failures=0",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       pass  checks=4 failures=0",
+        "order_translation            pass  checks=4 failures=0",
+        "order_mul_positive           FAIL  checks=4 failures=1  [5, 5/6]",
+    ],
+    ("real", "swapped mul factor"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      FAIL  checks=4 failures=3  [-13/20]",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       FAIL  checks=4 failures=3  [-13/60]",
+        "order_translation            pass  checks=4 failures=0",
+        "order_mul_positive           pass  checks=4 failures=0",
+    ],
+    ("real", "linear inverse"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      pass  checks=4 failures=0",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       FAIL  checks=4 failures=3  [-13/60]",
+        "order_translation            pass  checks=4 failures=0",
+        "order_mul_positive           pass  checks=4 failures=0",
+    ],
+    ("real", "flipped lt"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      pass  checks=4 failures=0",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       pass  checks=4 failures=0",
+        "order_translation            pass  checks=4 failures=0",
+        "order_mul_positive           FAIL  checks=4 failures=1  [-13/10, -13/60]",
+    ],
+    ("complex", "swapped mul factor"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      FAIL  checks=4 failures=4  [-4+7i]",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       FAIL  checks=4 failures=4  [14/3+8/3i]",
+        "conj_involution              pass  checks=4 failures=0",
+        "conj_additive                pass  checks=4 failures=0",
+        "conj_multiplicative          FAIL  checks=4 failures=4  [5/2+1/2i, -11/4+29/4i]",
+        "conj_fixes_identity          pass  checks=4 failures=0",
+    ],
+    ("complex", "linear inverse"): [
+        "add_commutative              pass  checks=4 failures=0",
+        "add_associative              pass  checks=4 failures=0",
+        "additive_identity            pass  checks=4 failures=0",
+        "mul_commutative              pass  checks=4 failures=0",
+        "mul_associative              pass  checks=4 failures=0",
+        "multiplicative_identity      pass  checks=4 failures=0",
+        "distributive                 pass  checks=4 failures=0",
+        "additive_inverse             pass  checks=4 failures=0",
+        "multiplicative_inverse       FAIL  checks=4 failures=4  [14/3+8/3i]",
+        "conj_involution              pass  checks=4 failures=0",
+        "conj_additive                pass  checks=4 failures=0",
+        "conj_multiplicative          pass  checks=4 failures=0",
+        "conj_fixes_identity          pass  checks=4 failures=0",
+    ],
+}
+
+# the text of each pool those reports walk
+POOLS = {
+    "natural": [
+        "0", "9", "6", "0", "0", "3", "9", "6", "6", "0", "6", "9"
+    ],
+    "rational": [
+        "-15/2", "5/2", "0", "-5/6", "-15/4", "-5", "0", "5", "5/6", "-15/2",
+        "0", "5/2"
+    ],
+    "real": [
+        "39/20", "-13/20", "0", "13/60", "39/40", "13/10", "0", "-13/10",
+        "-13/60", "39/20", "0", "-13/20"
+    ],
+    "complex": [
+        "1+8i", "-5/6-1/6i", "-23/4+11/4i", "5+1i", "-22/3-7/3i", "5/2+1/2i",
+        "-11/4+29/4i", "-13/4+13/4i", "14/3+8/3i", "-19/12+17/12i",
+        "1/2-5/2i", "-4+7i"
+    ],
+}
+
+
+def test_corrupted_table_reports_are_pinned(monkeypatch):
+    monkeypatch.setattr(axioms, "SPAN", PIN_SPAN)
+    for (kind, corruption), lines in CORRUPTED_REPORTS.items():
+        st_x = PIN_STRUCTURES[kind]
+        report = axiom_suite(st_x, samples=12, seed=6,
+                             ops=corrupted_ops(st_x, corruption))
+        assert report.lines() == lines, (kind, corruption)
+    for kind, texts in POOLS.items():
+        values = axioms.draw_values(PIN_STRUCTURES[kind], 12, random.Random(6))
+        assert [str(v) for v in values] == texts, kind
 
 
 def test_rational_structure_passes_all():

@@ -112,6 +112,73 @@ def test_trajectories_outputs_of_seed_11_are_pinned(tmp_path):
     assert digests == TRAJECTORIES_SEED_11
 
 
+# sha256 of the algebra workload's outputs for seed 11, recorded the same
+# way: four 1500-sample axiom suites, one per kind, and twenty exact
+# comparisons.
+ALGEBRA_SEED_11 = {
+    "00_axioms.csv":
+        "53dc2ffae182f25fe558abb4e6b8f3f658b34274953946fd480abf74db5df0da",
+    "01_axioms.csv":
+        "00462473de8e2e778837ec1580e1032b6e443d5c7736d7f378c4e8e323d38497",
+    "02_axioms.csv":
+        "00462473de8e2e778837ec1580e1032b6e443d5c7736d7f378c4e8e323d38497",
+    "03_axioms.csv":
+        "7654575478254e07e8d7a655268ddcda2bbe3ab9a8dff3b7170196e32a38288e",
+    "04_compare.csv":
+        "f56a0d69c05da2de30ce3846adc6757f9405aa07b2f01709a4d745f26254ecd5",
+    "05_compare.csv":
+        "5827992b04eba54511c2cb488a551fbbe3ac00da1058eb0d64b7b51303796ae1",
+    "06_compare.csv":
+        "2fa261672562d5927de8124294041ecc686ee4587666e281410a712f610108cb",
+    "07_compare.csv":
+        "29d7d670beb56e6edabda5f7cbf725a34022b0a51ca5918d1df802855d97fdd0",
+    "08_compare.csv":
+        "f56a0d69c05da2de30ce3846adc6757f9405aa07b2f01709a4d745f26254ecd5",
+    "09_compare.csv":
+        "5827992b04eba54511c2cb488a551fbbe3ac00da1058eb0d64b7b51303796ae1",
+    "10_compare.csv":
+        "7596ba03af452269929ff794282d4ddc7018455e03b487388f7a8465e4a4437c",
+    "11_compare.csv":
+        "c6f4ae15e601a3c8d00ba110c622fc920e682370b9fba6242b42d2d59c1db76e",
+    "12_compare.csv":
+        "f56a0d69c05da2de30ce3846adc6757f9405aa07b2f01709a4d745f26254ecd5",
+    "13_compare.csv":
+        "5827992b04eba54511c2cb488a551fbbe3ac00da1058eb0d64b7b51303796ae1",
+    "14_compare.csv":
+        "a3800ac2750f96e463aa7ea0032024af3779659e45b0ed15dc06c558b3fe09be",
+    "15_compare.csv":
+        "a662608b5787cfebd4c13f39201e1c6a72ab330c6b34f01794d58b1bffbddc1a",
+    "16_compare.csv":
+        "f56a0d69c05da2de30ce3846adc6757f9405aa07b2f01709a4d745f26254ecd5",
+    "17_compare.csv":
+        "5827992b04eba54511c2cb488a551fbbe3ac00da1058eb0d64b7b51303796ae1",
+    "18_compare.csv":
+        "59520512b3ab8956aae9f2b3f55792e181b9d08fbeb46b2fbe7aa76644b5b885",
+    "19_compare.csv":
+        "a25d5375ab425eff3c2e221652ec76b5d90984148c052bb3691bbf74c369fefb",
+    "20_compare.csv":
+        "f56a0d69c05da2de30ce3846adc6757f9405aa07b2f01709a4d745f26254ecd5",
+    "21_compare.csv":
+        "5827992b04eba54511c2cb488a551fbbe3ac00da1058eb0d64b7b51303796ae1",
+    "22_compare.csv":
+        "dedbe49322e71d95d7efe022709f384445dcdaf1241afc4bfd9020fcc89a9218",
+    "23_compare.csv":
+        "cd0c0909bd441cc53933943de5f55ebf5fa007729f6a119f99dca22c5365a6ca",
+    "summary.json":
+        "673531944c129430657487688307e53db6e95542752ffc7df3e2a13a06e76ef1",
+}
+
+
+def test_algebra_outputs_of_seed_11_are_pinned(tmp_path):
+    scenario = tmp_path / "algebra.json"
+    load_workloads().write("algebra", 11, str(scenario))
+    out = tmp_path / "out"
+    assert run_scenario(str(scenario), out=str(out)) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+    assert digests == ALGEBRA_SEED_11
+
+
 def test_task_peaks_prints_one_positive_peak_per_task(tmp_path):
     run = run_script("task_peaks.py", "--seed", "3")
     assert run.returncode == 0, run.stderr
