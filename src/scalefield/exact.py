@@ -1,24 +1,27 @@
 """Exact scalar arithmetic for scaled number structures.
 
-Rational and real-kind quantities are plain ``fractions.Fraction`` values,
-and so are a structure's factor t and level s (or ComplexFractions), with no
-wrapper class; a packet's level c is a plain number.  Every string, such as
-"3/2" or "0.125", is read exactly by ``parse_fraction``: scenario and CLI
-input call it directly, library input reaches it through ``as_exact``, so
-there is one parser and one exponent bound.  A finite decimal is an exact
-rational, so there is no precision setting.
+A structure's factor t and level s are plain ``fractions.Fraction`` values
+(or ComplexFractions), with no wrapper class; a packet's level c is a plain
+number.  Every string, such as "3/2" or "0.125", is read exactly by
+``parse_fraction``: scenario and CLI input call it directly, library input
+reaches it through ``as_exact``, so there is one parser and one exponent
+bound.  A finite decimal is an exact rational, so there is no precision
+setting.
 
-Complex quantities are ``ComplexFraction`` values: one Gaussian integer
-a + bi over one denominator d, stored as the int triple (a, b, d).  The
+The operation tables of structures of every kind compute on
+``ComplexFraction`` values: one Gaussian integer a + bi over one denominator
+d, stored as the int triple (a, b, d), with b = 0 for real kinds.  The
 triple is canonical, with d > 0 and gcd(a, b, d) == 1, so each value has
 exactly one triple and the operators work on plain ints with one gcd per
-result.  ``re`` and ``im`` are the Fractions a/d and b/d.
+result.  ``re`` and ``im`` are the Fractions a/d and b/d.  Two real values
+order by their cross products; a value with an imaginary part has no order.
 
 ``ComplexFraction`` speaks the same number protocol as ``Fraction``: the
-arithmetic and comparison operators (reflected ones included, so mixed
-operands work), ``real``, ``imag``, ``conjugate()`` and ``complex()``.  The
-structures built on top therefore have no per-kind arithmetic: one
-expression such as ``t / s * v`` serves every kind.
+arithmetic and equality operators (reflected ones included, so mixed
+operands work), ``real``, ``imag``, ``conjugate()`` and ``complex()``, and a
+real value prints and hashes as its Fraction.  The structures built on top
+therefore have no per-kind arithmetic: one expression such as ``t / s * v``
+serves every kind.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, OrderUndefined
 
 
 class ComplexFraction:
@@ -70,6 +73,14 @@ class ComplexFraction:
             return (self._b == 0 and self._a == other.numerator
                     and self._d == other.denominator)
         return NotImplemented
+
+    def __lt__(self, other: "Scalar") -> bool:
+        """Order of two real values: a1/d1 < a2/d2 as a1 d2 < a2 d1, since
+        both d are positive."""
+        o = as_complex(other)
+        if self._b != 0 or o._b != 0:
+            raise OrderUndefined("order compares real values only")
+        return self._a * o._d < o._a * self._d
 
     def __hash__(self) -> int:
         if self._b == 0:

@@ -221,12 +221,12 @@ class ScaledOps:
 def scaled_ops(st: ScaledStructure) -> ScaledOps:
     """Build the operation table for ``st``.
 
-    The inverse carries the (t/s)^2 factor required by
-    mul(A, inv(A)) = identity.
+    Every kind computes on ComplexFractions: the ops return them, with a
+    zero imaginary part on natural, rational and real structures, and take
+    Fractions and ints as well.  The inverse carries the (t/s)^2 factor
+    required by mul(A, inv(A)) = identity.
     """
-    w: Scalar = st.ratio
-    if st.kind == "complex":
-        w = as_complex(w)
+    w = as_complex(st.ratio)
     mul_factor = 1 / w  # s/t
     inv_factor = w * w
 
@@ -255,13 +255,11 @@ def scaled_ops(st: ScaledStructure) -> ScaledOps:
 
     lt: Optional[Callable[[Scalar, Scalar], bool]] = None
     if st.order_defined:
-        reversed_order = w.real < 0
+        reversed_order = w < 0
 
         def lt(a: Scalar, b: Scalar) -> bool:  # type: ignore[no-redef]
-            if a.imag != 0 or b.imag != 0:
-                raise OrderUndefined("order compares real values only")
-            ar, br = a.real, b.real
-            return (ar > br) if reversed_order else (ar < br)
+            a, b = as_complex(a), as_complex(b)
+            return (b < a) if reversed_order else (a < b)
     else:
         def lt(a: Scalar, b: Scalar) -> bool:  # type: ignore[no-redef]
             raise OrderUndefined(

@@ -278,6 +278,14 @@ def test_linear_inverse_mode_is_silent_when_unscaled():
     assert report.all_passed
 
 
+def test_suites_of_every_small_pool_size_pass():
+    # checks that start near the end of the pool wrap round to its start
+    for kind, st_x in PIN_STRUCTURES.items():
+        for samples in range(3, 16):
+            report = axiom_suite(st_x, samples=samples, seed=samples)
+            assert report.all_passed, (kind, samples)
+
+
 def test_report_is_deterministic():
     a = axiom_suite(structure("rational", F(3, 7), 2), samples=45, seed=11)
     b = axiom_suite(structure("rational", F(3, 7), 2), samples=45, seed=11)

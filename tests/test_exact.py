@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scalefield.errors import DivisionByZero
+from scalefield.errors import DivisionByZero, OrderUndefined
 from scalefield.exact import ComplexFraction as C
 from scalefield.exact import as_complex, parse_fraction
 
@@ -131,6 +131,18 @@ def test_a_real_value_hashes_and_compares_as_its_fraction(x):
     assert hash(z) == hash(F(x))
     check(as_complex(x), (F(x), F(0)))
     check(as_complex(F(x)), (F(x), F(0)))
+
+
+@given(x=FRACTIONS | INTS, y=FRACTIONS | INTS)
+def test_real_values_order_as_their_fractions(x, y):
+    assert (C(x) < y) is (F(x) < F(y))
+    assert (C(x) < C(y)) is (F(x) < F(y))
+
+
+def test_order_refuses_a_value_with_an_imaginary_part():
+    for a, b in ((C(1, 1), 2), (C(1), C(2, -1)), (C(0, 1), C(0, 1))):
+        with pytest.raises(OrderUndefined):
+            a < b
 
 
 def test_the_constructor_takes_what_fraction_takes():

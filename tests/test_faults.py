@@ -10,6 +10,7 @@ import dataclasses
 import io
 import itertools
 import math
+import random
 import tempfile
 import types
 from contextlib import redirect_stderr
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_axioms
 import test_cli
 import test_csvio
 import test_exact
@@ -36,15 +38,25 @@ import test_paths
 import test_scenario
 import test_scripts
 import test_structures
-from scalefield import csvio, exact, fields, gauge, geodesics, outcomes
+from scalefield import axioms, csvio, exact, fields, gauge, geodesics
+from scalefield import outcomes
 from scalefield import packets, paths, scenario, structures
 from scalefield.errors import BoundaryPoint, NotRepresentable, OutOfBounds
+from scalefield.axioms import (
+    AxiomReport,
+    AxiomResult,
+    _axiom_table,
+    _fmt,
+    check_samples,
+    draw_values,
+)
 from scalefield.exact import as_exact
 from scalefield.manifold import Manifold
 from scalefield.structures import (
     ScaledStructure,
     ScaledValue,
     _nonzero,
+    scaled_ops,
 )
 
 
@@ -127,6 +139,59 @@ def _mul_with_real_sign_flipped(self, other):
     o = exact.as_complex(other)
     a1, b1, a2, b2 = self._a, self._b, o._a, o._b
     return exact._make(a1 * a2 + b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
+
+
+def _lt_of_numerators(self, other):
+    """ComplexFraction.__lt__ comparing a1 with a2, the denominators left
+    out."""
+    return self._a < exact.as_complex(other)._a
+
+
+def _lt_flipped(self, other):
+    """ComplexFraction.__lt__ with its two cross products swapped."""
+    o = exact.as_complex(other)
+    return o._a * self._d < self._a * o._d
+
+
+def _axiom_suite_without_the_wrap(st, samples=100, seed=0, ops=None):
+    """axioms.axiom_suite taking each check's values from the pool itself,
+    not from the pool with its first two values appended, so a check that
+    starts near the end gets too few.  Its code replaces axiom_suite's, so
+    every name bound to axiom_suite sees the fault; it reads only names
+    that axioms binds too."""
+    check_samples(samples)
+    if ops is None:
+        ops = scaled_ops(st)
+    rng = random.Random(seed)
+    pool = draw_values(st, samples, rng)
+    n = len(pool)
+    checks_per_axiom = max(1, samples // 3)
+
+    results = []
+    for j, (name, arity, check) in enumerate(_axiom_table(ops)):
+        failures = 0
+        counterexample = None
+        for k in range(checks_per_axiom):
+            base = (7 * j + 3 * k) % n
+            vals = pool[base:base + arity]
+            if not check(*vals):
+                failures += 1
+                if counterexample is None:
+                    counterexample = _fmt(vals)
+        results.append(AxiomResult(name, checks_per_axiom, failures, counterexample))
+    return AxiomReport(st, samples, seed, tuple(results))
+
+
+def _failing_on_too_few_values(check):
+    """``check`` with the TypeError that an axiom handed too few values
+    raises reported as a failed assertion."""
+    def run():
+        try:
+            check()
+        except TypeError as e:
+            raise AssertionError(f"{check.__name__}: {e}") from e
+    run.__name__ = check.__name__
+    return run
 
 
 _differences = fields.ScalingField.differences
@@ -356,6 +421,16 @@ def _integrate_with_a_dot_per_slice(q, m, steps, weight=None):
     return total, weighted
 
 
+def _algebra_pin():
+    with tempfile.TemporaryDirectory() as out:
+        test_scripts.test_algebra_outputs_of_seed_11_are_pinned(Path(out))
+
+
+def _corrupted_reports():
+    with pytest.MonkeyPatch.context() as mp:
+        test_axioms.test_corrupted_table_reports_are_pinned(mp)
+
+
 def _tabulated_run():
     with tempfile.TemporaryDirectory() as out:
         test_cli.test_tabulated_theta_serves_single_point_tasks(Path(out))
@@ -409,6 +484,15 @@ BATCH = {case: tuple(
     partial(test_geodesic_batch.test_batch_rows_are_their_lone_integrations,
             name, case) for name in sorted(test_geodesic_pins.PINS))
     for case in ("inside", "leaving", "margin")}
+# the order check's body on two rational operands, one a Fraction and one
+# an unreduced triple, at a positive and a negative ratio
+ORDER = tuple(
+    partial(test_structures.test_order_agrees_with_fraction_order
+            .hypothesis.inner_test, "rational", Fraction(3), t,
+            Fraction(3, 4), Fraction(2, 3), False, ("fraction", "unreduced"))
+    for t in (Fraction(5), Fraction(-5)))
+EXACT_LT = partial(test_exact.test_real_values_order_as_their_fractions
+                   .hypothesis.inner_test, Fraction(3, 4), 1)
 # the operator check's body on one pair with nonzero imaginary parts, since
 # Hypothesis spends seconds shrinking a failure it finds on its own
 EXACT_MUL, EXACT_DIV = (
@@ -515,6 +599,22 @@ FAULTS = {
     "complex product with its real-part sign flipped": (
         exact.ComplexFraction, "__mul__", _mul_with_real_sign_flipped,
         (EXACT_MUL, EXACT_DIV, _complex_digests)),
+    # a comparison with zero keeps its sign, so of the order axioms only
+    # order_translation sees this one
+    "real order compared without the denominators": (
+        exact.ComplexFraction, "__lt__", _lt_of_numerators,
+        (*ORDER, EXACT_LT, test_axioms.test_rational_structure_passes_all,
+         test_axioms.test_negative_ratio_keeps_order_axioms,
+         test_axioms.test_real_kind_passes)),
+    # a structure's lt reads its ratio's sign through the same operator,
+    # so flipping it flips both and every structure order stays right
+    "real order flipped": (
+        exact.ComplexFraction, "__lt__", _lt_flipped, (EXACT_LT,)),
+    "axiom check values taken without the pool's wrap": (
+        axioms.axiom_suite, "__code__", _axiom_suite_without_the_wrap.__code__,
+        tuple(_failing_on_too_few_values(check) for check in (
+            test_axioms.test_suites_of_every_small_pool_size_pass,
+            test_axioms.test_rational_structure_passes_all, _algebra_pin))),
     "central difference of psi over h where 2h belongs": (
         fields.ScalingField, "differences", _differences_over_h_for(False),
         (*COVARIANT,

@@ -1,5 +1,6 @@
 """Value maps, relabeling, scaled operations, and the scaling group."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from scalefield import (
     structure,
     value_of,
 )
+from scalefield import exact
 
 F = Fraction
 
@@ -194,6 +196,47 @@ def test_order_undefined_for_complex():
     ops = scaled_ops(structure("complex", ComplexFraction(0, 1), 1))
     with pytest.raises(OrderUndefined):
         ops.lt(ComplexFraction(1), ComplexFraction(2))
+
+
+def test_order_of_a_rational_structure_refuses_complex_values():
+    ops = scaled_ops(structure("rational", 3, 5))
+    with pytest.raises(OrderUndefined):
+        ops.lt(ComplexFraction(1, 1), F(2))
+    with pytest.raises(OrderUndefined):
+        ops.lt(F(1), ComplexFraction(2, -1))
+
+
+def operand(q, form):
+    """q as one of the operands an ordered structure's lt takes, with the
+    Fraction it stands for: a Fraction, an int (q's floor), a real
+    ComplexFraction, or a real triple left unreduced by a factor of 6."""
+    if form == "int":
+        n = math.floor(q)
+        return n, F(n)
+    if form == "complex":
+        return ComplexFraction(q), q
+    if form == "unreduced":
+        return exact._make(6 * q.numerator, 0, 6 * q.denominator,
+                           reduced=True), q
+    return q, q
+
+
+FORMS = ("fraction", "int", "complex", "unreduced")
+
+
+@given(kind=st.sampled_from(("rational", "real")), t=nonzero_fractions(50),
+       s=nonzero_fractions(50), x=st.fractions(max_denominator=50),
+       y=st.fractions(max_denominator=50), equal=st.booleans(),
+       forms=st.tuples(st.sampled_from(FORMS), st.sampled_from(FORMS)))
+def test_order_agrees_with_fraction_order(kind, t, s, x, y, equal, forms):
+    # t/s of either sign; equal values given in two forms compare neither way
+    ops = scaled_ops(structure(kind, t, s))
+    a, ar = operand(x, forms[0])
+    b, br = operand(x if equal else y, forms[1])
+    want = (br < ar) if t / s < 0 else (ar < br)
+    assert ops.lt(a, b) is want
+    if ar == br:
+        assert not ops.lt(a, b) and not ops.lt(b, a)
 
 
 def test_conj_with_imaginary_ratio():
