@@ -39,9 +39,7 @@ import test_scenario
 import test_scripts
 import test_structures
 from scalefield import axioms, csvio, exact, fields, gauge, geodesics
-from scalefield import outcomes
-from scalefield import packets, paths, scenario, structures
-from scalefield.errors import BoundaryPoint, NotRepresentable, OutOfBounds
+from scalefield import outcomes, packets, paths, scenario, structures
 from scalefield.axioms import (
     AxiomReport,
     AxiomResult,
@@ -50,6 +48,7 @@ from scalefield.axioms import (
     check_samples,
     draw_values,
 )
+from scalefield.errors import BoundaryPoint, NotRepresentable, OutOfBounds
 from scalefield.exact import as_exact
 from scalefield.manifold import Manifold
 from scalefield.structures import (
@@ -426,11 +425,6 @@ def _algebra_pin():
         test_scripts.test_algebra_outputs_of_seed_11_are_pinned(Path(out))
 
 
-def _corrupted_reports():
-    with pytest.MonkeyPatch.context() as mp:
-        test_axioms.test_corrupted_table_reports_are_pinned(mp)
-
-
 def _tabulated_run():
     with tempfile.TemporaryDirectory() as out:
         test_cli.test_tabulated_theta_serves_single_point_tasks(Path(out))
@@ -488,9 +482,9 @@ BATCH = {case: tuple(
 # an unreduced triple, at a positive and a negative ratio
 ORDER = tuple(
     partial(test_structures.test_order_agrees_with_fraction_order
-            .hypothesis.inner_test, "rational", Fraction(3), t,
+            .hypothesis.inner_test, "rational", Fraction(3), s,
             Fraction(3, 4), Fraction(2, 3), False, ("fraction", "unreduced"))
-    for t in (Fraction(5), Fraction(-5)))
+    for s in (Fraction(5), Fraction(-5)))
 EXACT_LT = partial(test_exact.test_real_values_order_as_their_fractions
                    .hypothesis.inner_test, Fraction(3, 4), 1)
 # the operator check's body on one pair with nonzero imaginary parts, since
